@@ -29,6 +29,7 @@ import numpy as np
 from . import catalog
 from .config import get_tolerance
 from .distributions import (
+    EFFECTS,
     ExperimentalDistribution,
     ObservationalDistribution,
     check_compatibility,
@@ -39,7 +40,6 @@ from .errors import (
     Incompatible,
     InvalidDistribution,
     MonotonicityRefuted,
-    ZeroDenominator,
 )
 from .interval import Interval
 
@@ -49,10 +49,13 @@ __all__ = [
     "EvaluatedArgument",
     "causal_effect_bounds",
     "effect_bounds",
+    "target_bounds",
+    "tight_interval",
     "pns_bounds",
     "pn_bounds",
     "ps_bounds",
     "bound_arguments",
+    "refuse_incompatible",
     "identify_monotone",
     "adjust_over_covariate",
     "EFFECT_VARIANTS",
@@ -64,24 +67,9 @@ Outcome = Literal["y", "y'"]
 
 #: effect variant token -> (treatment, outcome)
 EFFECT_VARIANTS: dict[str, tuple[str, str]] = {
-    "y_x": ("x", "y"),
-    "yp_x": ("x", "y'"),
-    "y_xp": ("x'", "y"),
-    "yp_xp": ("x'", "y'"),
+    v: (e.treatment, e.outcome) for v, e in EFFECTS.items()
 }
-EFFECT_LABELS = {
-    "y_x": "P(y_x)",
-    "yp_x": "P(y'_x)",
-    "y_xp": "P(y_{x'})",
-    "yp_xp": "P(y'_{x'})",
-}
-
-_EFFECT_CELLS = {
-    ("x", "y"): ("p_xy", "p_xyp"),
-    ("x", "y'"): ("p_xyp", "p_xy"),
-    ("x'", "y"): ("p_xpy", "p_xpyp"),
-    ("x'", "y'"): ("p_xpyp", "p_xpy"),
-}
+EFFECT_LABELS = {v: e.label for v, e in EFFECTS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +91,13 @@ class EvaluatedArgument:
     value: float
 
 
-def _refuse_incompatible(exp, obs) -> None:
+def refuse_incompatible(
+    exp: ExperimentalDistribution | None,
+    obs: ObservationalDistribution | None,
+) -> None:
+    """Raise :class:`Incompatible` when the data violate a compatibility constraint."""
+    if exp is None or obs is None:
+        return
     report = check_compatibility(exp, obs)
     if report.violations:
         raise Incompatible(report.violations)
@@ -116,29 +110,19 @@ def causal_effect_bounds(
 ) -> Interval:
     """Bounds [P(t,o), 1 - P(t,o')] on the causal effect P(o_t) from the joint alone."""
     key = (treatment, outcome)
-    if key not in _EFFECT_CELLS:
-        raise InvalidDistribution(f"treatment/outcome must be x|x', y|y', got {key!r}")
-    main, comp = _EFFECT_CELLS[key]
-    values = require_atoms(None, obs, (main, comp), "causal effect bounds")
-    return Interval(values[main], 1.0 - values[comp])
+    for variant, arms in EFFECT_VARIANTS.items():
+        if arms == key:
+            return effect_bounds(obs, variant)
+    raise InvalidDistribution(f"treatment/outcome must be x|x', y|y', got {key!r}")
 
 
 def effect_bounds(obs: ObservationalDistribution, variant: str) -> Interval:
     """:func:`causal_effect_bounds` addressed by variant token (see EFFECT_VARIANTS)."""
-    if variant not in EFFECT_VARIANTS:
+    if variant not in EFFECTS:
         raise InvalidDistribution(f"unknown effect variant {variant!r}")
-    t, o = EFFECT_VARIANTS[variant]
-    return causal_effect_bounds(obs, t, o)
-
-
-def _evaluate_args(args, values) -> list[EvaluatedArgument]:
-    out = []
-    for arg in args:
-        value = arg.expr.value_from_atoms(values)
-        if arg.denominator is not None:
-            value = value / values[arg.denominator]
-        out.append(EvaluatedArgument(arg.name, arg.side, arg.label, value))
-    return out
+    e = EFFECTS[variant]
+    values = require_atoms(None, obs, (e.cell, e.complement), "causal effect bounds")
+    return Interval(values[e.cell], 1.0 - values[e.complement])
 
 
 def bound_arguments(
@@ -151,31 +135,27 @@ def bound_arguments(
     Raw means pre-clamp: ratio arguments may fall outside [0,1] on noisy
     inputs, which is exactly what reports should surface.
     """
-    if quantity == "pns":
-        lowers, uppers = catalog.PNS_LOWER_ARGS, catalog.PNS_UPPER_ARGS
-    elif quantity == "pn":
-        lowers, uppers = catalog.PN_LOWER_ARGS, catalog.PN_UPPER_ARGS
-    elif quantity == "ps":
-        lowers, uppers = catalog.PS_LOWER_ARGS, catalog.PS_UPPER_ARGS
-    else:
-        raise InvalidDistribution(f"unknown quantity {quantity!r}")
+    target = catalog.target(quantity)
+    args = target.lower + target.upper
     atoms: list[str] = []
-    for arg in lowers + uppers:
+    for arg in args:
         atoms.extend(arg.expr.atoms())
         if arg.denominator is not None:
             atoms.append(arg.denominator)
     values = require_atoms(exp, obs, tuple(dict.fromkeys(atoms)), f"{quantity} bounds")
-    den = lowers[0].denominator
-    if den is not None and values[den] <= get_tolerance():
-        from .forms import QUANTITY_LABELS
+    den = target.denominator
+    target.require_denominator(values.get(den))
+    out = []
+    for arg in args:
+        value = arg.expr.value_from_atoms(values)
+        if den is not None:
+            value = value / values[den]
+        out.append(EvaluatedArgument(arg.name, arg.side, arg.label, value))
+    return out
 
-        raise ZeroDenominator(f"{QUANTITY_LABELS[den]} = 0, {quantity} is undefined")
-    return _evaluate_args(lowers + uppers, values)
 
-
-def _bounds_from_arguments(quantity, exp, obs) -> Interval:
-    evaluated = bound_arguments(quantity, exp, obs)
-    _refuse_incompatible(exp, obs)
+def tight_interval(evaluated: list[EvaluatedArgument]) -> Interval:
+    """The tight bounds: max of the lower and min of the upper arguments."""
     lo = max(a.value for a in evaluated if a.side == "lower")
     hi = min(a.value for a in evaluated if a.side == "upper")
     # ratio arguments can stray outside [0,1] within rounding; the printed
@@ -183,19 +163,30 @@ def _bounds_from_arguments(quantity, exp, obs) -> Interval:
     return Interval(lo, hi).clamped(0.0, 1.0)
 
 
+def target_bounds(
+    quantity: str,
+    exp: ExperimentalDistribution,
+    obs: ObservationalDistribution,
+) -> Interval:
+    """Tight bounds on one of :data:`catalog.TARGETS`; refuses incompatible data."""
+    evaluated = bound_arguments(quantity, exp, obs)
+    refuse_incompatible(exp, obs)
+    return tight_interval(evaluated)
+
+
 def pns_bounds(exp: ExperimentalDistribution, obs: ObservationalDistribution) -> Interval:
     """Tight bounds on P(y_x, y'_{x'}) from full experimental + observational data."""
-    return _bounds_from_arguments("pns", exp, obs)
+    return target_bounds("pns", exp, obs)
 
 
 def pn_bounds(exp: ExperimentalDistribution, obs: ObservationalDistribution) -> Interval:
     """Tight bounds on P(y'_{x'} | x, y); requires P(x,y) > 0."""
-    return _bounds_from_arguments("pn", exp, obs)
+    return target_bounds("pn", exp, obs)
 
 
 def ps_bounds(exp: ExperimentalDistribution, obs: ObservationalDistribution) -> Interval:
     """Tight bounds on P(y_x | x', y'); requires P(x',y') > 0."""
-    return _bounds_from_arguments("ps", exp, obs)
+    return target_bounds("ps", exp, obs)
 
 
 def identify_monotone(
@@ -218,11 +209,9 @@ def identify_monotone(
         raise MonotonicityRefuted(
             f"P(y_x) >= P(y) >= P(y_{{x'}}) fails: {p_yx:.6g}, {p_y:.6g}, {p_yxp:.6g}"
         )
-    _refuse_incompatible(exp, obs)
-    if values["p_xy"] <= tol:
-        raise ZeroDenominator("P(x,y) = 0, pn is undefined")
-    if values["p_xpyp"] <= tol:
-        raise ZeroDenominator("P(x',y') = 0, ps is undefined")
+    refuse_incompatible(exp, obs)
+    for target in catalog.TARGETS.values():
+        target.require_denominator(values.get(target.denominator))
     return MonotoneIdentification(
         pns=p_yx - p_yxp,
         pn=(p_y - p_yxp) / values["p_xy"],

@@ -24,26 +24,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import get_tolerance
+from .errors import InvalidDistribution, ZeroDenominator
 from .forms import QUANTITY_LABELS, GroupedExpr, LinearForm, group
 
 __all__ = [
     "BoundArgument",
     "CatalogEntry",
+    "Target",
+    "TARGETS",
+    "target",
     "PNS_CATALOG",
     "PN_CATALOG",
     "PS_CATALOG",
     "CATALOGS",
-    "PNS_LOWER_ARGS",
-    "PNS_UPPER_ARGS",
-    "PN_LOWER_ARGS",
-    "PN_UPPER_ARGS",
-    "PS_LOWER_ARGS",
-    "PS_UPPER_ARGS",
 ]
 
 _A = LinearForm.atom
 _ONE = LinearForm.constant(1.0)
 _ZERO = LinearForm.zero()
+
+
+def _ratio_label(expr: GroupedExpr, denominator: str | None) -> str:
+    if denominator is None:
+        return expr.label
+    if expr.terms == ((1.0, denominator),):
+        return "1"
+    if expr.is_zero():
+        return "0"
+    return f"({expr.label}) / {QUANTITY_LABELS[denominator]}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,13 +71,7 @@ class BoundArgument:
 
     @property
     def label(self) -> str:
-        if self.denominator is None:
-            return self.expr.label
-        if self.expr.terms == ((1.0, self.denominator),):
-            return "1"
-        if self.expr.is_zero():
-            return "0"
-        return f"({self.expr.label}) / {QUANTITY_LABELS[self.denominator]}"
+        return _ratio_label(self.expr, self.denominator)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,26 +96,46 @@ class CatalogEntry:
     denominator: str | None
 
     @property
+    def threshold_label(self) -> str:
+        if self.denominator is None:
+            return "2*eps"
+        return f"2*eps*{QUANTITY_LABELS[self.denominator]}"
+
+    @property
     def premise_label(self) -> str:
-        threshold = "2*eps"
-        if self.denominator is not None:
-            threshold = f"2*eps*{QUANTITY_LABELS[self.denominator]}"
-        return f"{self.premise.label} <= {threshold}"
+        return f"{self.premise.label} <= {self.threshold_label}"
 
     @property
     def center_label(self) -> str:
-        base = self.center.label
-        if self.denominator is not None:
-            if self.center.terms == ((1.0, self.denominator),):
-                base = "1"
-            elif self.center.is_zero():
-                base = "0"
-            else:
-                base = f"({base}) / {QUANTITY_LABELS[self.denominator]}"
+        base = _ratio_label(self.center, self.denominator)
         if base == "0":
             return "eps" if self.center_sign > 0 else "-eps"
         sign = "+" if self.center_sign > 0 else "-"
         return f"{base} {sign} eps"
+
+
+@dataclass(frozen=True, slots=True)
+class Target:
+    """One counterfactual target: its tight-bound system and its catalog.
+
+    The tight bounds are the max over ``lower`` and the min over ``upper``;
+    ratio targets divide every argument by the ``denominator`` cell.
+    """
+
+    name: str
+    label: str
+    denominator: str | None
+    lower: tuple[BoundArgument, ...]
+    upper: tuple[BoundArgument, ...]
+    entries: tuple[CatalogEntry, ...]
+
+    def require_denominator(self, value: float | None) -> None:
+        """Raise :class:`ZeroDenominator` when this is a ratio target and the
+        denominator's ``value`` is zero; None means the value is unknown."""
+        if self.denominator is not None and value is not None and value <= get_tolerance():
+            raise ZeroDenominator(
+                f"{QUANTITY_LABELS[self.denominator]} = 0, {self.name} is undefined"
+            )
 
 
 # Argument definitions.  Lower bound = max over the lower forms, upper bound
@@ -186,7 +209,7 @@ def _arguments(defs, side: str, denominator: str | None):
     return tuple(BoundArgument(name, side, group(form), denominator) for name, form in defs)
 
 
-def _build_catalog(quantity, lower_defs, upper_defs, selection, denominator):
+def _build_target(quantity, label, lower_defs, upper_defs, selection, denominator) -> Target:
     lower_args = _arguments(lower_defs, "lower", denominator)
     upper_args = _arguments(upper_defs, "upper", denominator)
     entries = []
@@ -206,17 +229,25 @@ def _build_catalog(quantity, lower_defs, upper_defs, selection, denominator):
                 denominator=denominator,
             )
         )
-    return lower_args, upper_args, tuple(entries)
+    return Target(quantity, label, denominator, lower_args, upper_args, tuple(entries))
 
 
-PNS_LOWER_ARGS, PNS_UPPER_ARGS, PNS_CATALOG = _build_catalog(
-    "pns", _PNS_LOWER_DEFS, _PNS_UPPER_DEFS, _PNS_SELECTION, None
-)
-PN_LOWER_ARGS, PN_UPPER_ARGS, PN_CATALOG = _build_catalog(
-    "pn", _PN_LOWER_DEFS, _PN_UPPER_DEFS, _PN_SELECTION, "p_xy"
-)
-PS_LOWER_ARGS, PS_UPPER_ARGS, PS_CATALOG = _build_catalog(
-    "ps", _PS_LOWER_DEFS, _PS_UPPER_DEFS, _PS_SELECTION, "p_xpyp"
-)
+#: every counterfactual target, in display order
+TARGETS: dict[str, Target] = {
+    t.name: t
+    for t in (
+        _build_target("pns", "PNS", _PNS_LOWER_DEFS, _PNS_UPPER_DEFS, _PNS_SELECTION, None),
+        _build_target("pn", "PN", _PN_LOWER_DEFS, _PN_UPPER_DEFS, _PN_SELECTION, "p_xy"),
+        _build_target("ps", "PS", _PS_LOWER_DEFS, _PS_UPPER_DEFS, _PS_SELECTION, "p_xpyp"),
+    )
+}
 
-CATALOGS = {"pns": PNS_CATALOG, "pn": PN_CATALOG, "ps": PS_CATALOG}
+CATALOGS = {name: t.entries for name, t in TARGETS.items()}
+PNS_CATALOG, PN_CATALOG, PS_CATALOG = CATALOGS.values()
+
+
+def target(name: str) -> Target:
+    """The :class:`Target` called ``name``; unknown names raise InvalidDistribution."""
+    if name not in TARGETS:
+        raise InvalidDistribution(f"unknown quantity {name!r}")
+    return TARGETS[name]

@@ -17,6 +17,7 @@ slack constant, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from . import bounds as bounds_mod
 from . import confounded as conf_mod
 from . import engine as engine_mod
 from . import oracle as oracle_mod
+from .catalog import TARGETS
 from .config import apply_env_tolerance, get_tolerance
 from .distributions import (
     EpsIdentification,
@@ -57,7 +59,7 @@ EXIT_VERIFY_FAILED = 5
 
 DEFAULT_SEED = 20250809
 EPS_SWEEP = (0.01, 0.05, 0.1, 0.25)
-SCAN_QUANTITIES = ("pns", "pn", "ps")
+SCAN_QUANTITIES = tuple(TARGETS)
 
 
 def _fail(message: str, code: int) -> int:
@@ -130,13 +132,9 @@ def cmd_bounds(args) -> int:
             effects[variant] = {"status": "insufficient data", "missing": list(exc.missing)}
 
     quantities = {}
-    for name, fn in (
-        ("pns", bounds_mod.pns_bounds),
-        ("pn", bounds_mod.pn_bounds),
-        ("ps", bounds_mod.ps_bounds),
-    ):
+    for name in SCAN_QUANTITIES:
         try:
-            interval = fn(data.experimental, data.observational)
+            interval = bounds_mod.target_bounds(name, data.experimental, data.observational)
             arguments = bounds_mod.bound_arguments(name, data.experimental, data.observational)
             for a in arguments:
                 if a.value < -get_tolerance() or a.value > 1.0 + get_tolerance():
@@ -193,6 +191,17 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _confounder_margins(conf, obs) -> tuple[float | None, float | None]:
+    """P(x) and P(y|x) from the confounder section, else from the joint."""
+    p_x = conf.p_x if conf is not None else None
+    p_ygx = conf.p_y_given_x if conf is not None else None
+    if p_x is None and obs is not None:
+        p_x = obs.p_x
+    if p_ygx is None and obs is not None:
+        p_ygx = obs.p_y_given_x
+    return p_x, p_ygx
+
+
 def _confounder_inputs(data: InputData, args):
     conf = data.confounder
     u_max = args.u_max if args.u_max is not None else (conf.u_max if conf else None)
@@ -209,12 +218,7 @@ def _confounder_inputs(data: InputData, args):
                 raise ParseError(f"--c must be a number or 'auto', got {args.c!r}") from exc
     else:
         c = conf.c if conf else None
-    p_x = conf.p_x if conf and conf.p_x is not None else None
-    p_ygx = conf.p_y_given_x if conf and conf.p_y_given_x is not None else None
-    if p_x is None and data.observational is not None:
-        p_x = data.observational.p_x
-    if p_ygx is None and data.observational is not None:
-        p_ygx = data.observational.p_y_given_x
+    p_x, p_ygx = _confounder_margins(conf, data.observational)
     if p_x is None or p_ygx is None:
         raise ParseError("confounder mode needs P(x) and P(y|x), from the confounder section or a full treated column")
     return conf_mod.ConfoundedEffectInput(p_y_given_x=p_ygx, p_x=p_x, u_max=u_max, c=c)
@@ -277,17 +281,14 @@ def cmd_epsident(args) -> int:
             else:
                 report["eps"] = args.eps
                 report["eps_reports"] = {}
-                scans = {
-                    "pns": engine_mod.eps_identify_pns,
-                    "pn": engine_mod.eps_identify_pn,
-                    "ps": engine_mod.eps_identify_ps,
-                }
-                for name, fn in scans.items():
+                for name in SCAN_QUANTITIES:
                     if selected not in ("all", name):
                         continue
                     label = engine_mod.QUANTITY_DISPLAY[name]
                     try:
-                        result = fn(data.experimental, data.observational, args.eps, data.assumptions)
+                        result = engine_mod.eps_identify(
+                            name, data.experimental, data.observational, args.eps, data.assumptions
+                        )
                         report["eps_reports"][name] = result.to_json_dict()
                         lines.extend(_scan_text(label, result))
                     except ZeroDenominator as exc:
@@ -427,10 +428,9 @@ def cmd_verify(args) -> int:
             and exp.is_complete and obs.is_complete:
         worst = 0.0
         detail = []
-        for name, fn in (("pns", bounds_mod.pns_bounds), ("pn", bounds_mod.pn_bounds),
-                         ("ps", bounds_mod.ps_bounds)):
+        for name in SCAN_QUANTITIES:
             try:
-                closed = fn(exp, obs)
+                closed = bounds_mod.target_bounds(name, exp, obs)
                 oracle_range = oracle_mod.feasible_range(name, exp, obs, vertices=vertices)
             except ZeroDenominator:
                 continue
@@ -441,15 +441,22 @@ def cmd_verify(args) -> int:
             detail.append(f"{name} err {err:.2e}")
         add("input-tightness", worst <= 1e-6, ", ".join(detail) or "skipped (refused)")
 
+    @functools.cache
+    def obs_vertices():
+        """Vertices of the polytope without the experimental atoms, which the
+        effect conditions ignore; None when no model or no atom remains."""
+        try:
+            return oracle_mod.feasible_vertices(None, obs, assume)
+        except (Infeasible, MissingData):
+            return None
+
     if vertices is not None and not compat.violations:
         failures = []
         n_checked = 0
-        scans = {"pns": engine_mod.eps_identify_pns, "pn": engine_mod.eps_identify_pn,
-                 "ps": engine_mod.eps_identify_ps}
         for eps in EPS_SWEEP:
-            for name, fn in scans.items():
+            for name in SCAN_QUANTITIES:
                 try:
-                    result = fn(exp, obs, eps, assume)
+                    result = engine_mod.eps_identify(name, exp, obs, eps, assume)
                     oracle_range = oracle_mod.feasible_range(name, exp, obs, vertices=vertices)
                 except (ZeroDenominator, Unsupported):
                     continue
@@ -461,11 +468,10 @@ def cmd_verify(args) -> int:
             for variant, result in scan.results.items():
                 if not isinstance(result, EpsIdentification):
                     continue
-                try:
-                    obs_vertices = oracle_mod.feasible_vertices(None, obs, assume)
-                    oracle_range = oracle_mod.feasible_range(variant, None, obs, vertices=obs_vertices)
-                except (Infeasible, MissingData):
+                verts = obs_vertices()
+                if verts is None:
                     continue
+                oracle_range = oracle_mod.feasible_range(variant, None, obs, vertices=verts)
                 n_checked += 1
                 if not _contains(result.certified.lo, result.certified.hi, oracle_range, tol):
                     failures.append(f"effect-{variant}@eps={eps}")
@@ -488,10 +494,9 @@ def cmd_verify(args) -> int:
             compat_fail += 1
             continue
         verts = oracle_mod.feasible_vertices(s_exp, s_obs)
-        for name, fn in (("pns", bounds_mod.pns_bounds), ("pn", bounds_mod.pn_bounds),
-                         ("ps", bounds_mod.ps_bounds)):
+        for name in SCAN_QUANTITIES:
             try:
-                closed = fn(s_exp, s_obs)
+                closed = bounds_mod.target_bounds(name, s_exp, s_obs)
                 oracle_range = oracle_mod.feasible_range(name, s_exp, s_obs, vertices=verts)
             except ZeroDenominator:
                 continue
@@ -500,8 +505,7 @@ def cmd_verify(args) -> int:
             if err > 1e-6:
                 tight_fail += 1
             for eps in EPS_SWEEP:
-                result = {"pns": engine_mod.eps_identify_pns, "pn": engine_mod.eps_identify_pn,
-                          "ps": engine_mod.eps_identify_ps}[name](s_exp, s_obs, eps)
+                result = engine_mod.eps_identify(name, s_exp, s_obs, eps)
                 for ident in result.fired:
                     n_sound += 1
                     if not _contains(ident.certified.lo, ident.certified.hi, oracle_range, tol):
@@ -525,21 +529,20 @@ def cmd_verify(args) -> int:
     add("sampled-monotone", mono_fail == 0,
         f"{n} defier-free joints match the closed monotone formulas within 1e-9")
 
-    if data.confounder is not None:
-        conf = data.confounder
-        p_x = conf.p_x if conf.p_x is not None else (obs.p_x if obs is not None else None)
-        p_ygx = conf.p_y_given_x if conf.p_y_given_x is not None else (
-            obs.p_y_given_x if obs is not None else None
-        )
-        if p_x is not None and p_ygx is not None:
-            model_range = oracle_mod.confounded_effect_range(p_x, p_ygx, conf.u_max, 1e-3)
-            c_top = p_x - conf.u_max
+    p_x, p_ygx = _confounder_margins(data.confounder, obs)
+    if data.confounder is not None and p_x is not None and p_ygx is not None:
+        u_max = data.confounder.u_max
+        c_top = p_x - u_max
+        if c_top <= 0.0:
+            add("confounder-sandwich", True, "skipped: u_max >= P(x) leaves no slack constant")
+        else:
+            model_range = oracle_mod.confounded_effect_range(p_x, p_ygx, u_max, 1e-3)
             c_values = [c_top * k / 8 for k in range(1, 9)]
             bad = [
                 f"c={c:.4g}"
                 for c in c_values
                 if not _contains(
-                    *conf_mod.effect_sandwich(p_ygx, p_x, conf.u_max, c).as_tuple(),
+                    *conf_mod.effect_sandwich(p_ygx, p_x, u_max, c).as_tuple(),
                     model_range, tol,
                 )
             ]
@@ -594,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--eps", type=float, help="identification radius")
     group.add_argument("--minimal", action="store_true",
                        help="report the minimal certifiable radius per quantity")
-    p.add_argument("--quantity", choices=("pns", "pn", "ps", "effect", "all"),
+    p.add_argument("--quantity", choices=SCAN_QUANTITIES + ("effect", "all"),
                    help="restrict to one quantity (default: all)")
     p.add_argument("--confounder", action="store_true",
                    help="identify P(y_x) on the single-binary-confounder graph")

@@ -18,8 +18,10 @@ under which P(y_x) is identified to
 
     q = P(y|x) + (P(x) - c) / (2cP(x) + P(x) + c) * eps
 
-with radius eps.  Larger c both fires more easily and pulls q closer to
-P(y|x), so automatic selection maximizes c over a grid.
+with radius eps.  Larger c both fires more easily (the threshold factor has
+derivative 2P(x)^2 / (2cP(x) + P(x) + c)^2 > 0) and pulls q closer to
+P(y|x), so automatic selection takes the largest admissible constant,
+c = P(x) - u_max for a bound P(u) <= u_max; when it does not fire, none does.
 
 A coarser route needs only P(x) >= 1/2: fixing c = 0.4 and bounding
 1/P(x) <= 2 gives the wider sandwich slopes 3 and 3.5, the condition
@@ -39,13 +41,10 @@ from .interval import Interval
 
 __all__ = [
     "ConfoundedEffectInput",
-    "AUTO_C_GRID_STEP",
     "eps_identify_effect_confounded",
     "eps_identify_effect_confounded_simple",
     "effect_sandwich",
 ]
-
-AUTO_C_GRID_STEP = 1e-4
 
 EFFECT_CONFOUNDED = "y_x"  # quantity token the identifications carry
 
@@ -55,7 +54,7 @@ class ConfoundedEffectInput:
     """Inputs for the confounded-effect identification.
 
     ``c`` is an explicit slack constant (0 < c <= p_x - u_max) or None for
-    automatic maximization over the grid.
+    the largest one, c = p_x - u_max.
     """
 
     p_y_given_x: float
@@ -105,39 +104,26 @@ def eps_identify_effect_confounded(
     """Identify P(y_x) from P(x), P(y|x), and a confounder-mass bound.
 
     With an explicit slack constant the condition is checked as stated and a
-    failing margin is reported.  With ``c=None`` the constant is maximized
-    left-to-right over a grid of step ``AUTO_C_GRID_STEP`` on
-    (0, p_x - u_max]; :class:`NoFeasibleC` is raised when no grid value
-    fires.
+    failing margin is reported.  With ``c=None`` the constant is the largest
+    admissible one, c = p_x - u_max, which fires whenever any constant does;
+    :class:`NoFeasibleC` is raised when it is not positive or does not fire.
     """
     if not (eps > 0.0) or not math.isfinite(eps):
         raise InvalidDistribution(f"eps must be positive, got {eps!r}")
     tol = get_tolerance()
-    if inp.c is not None:
-        condition = _condition(inp, inp.c, eps)
-        if inp.u_max > condition.threshold_value + tol:
-            return NotIdentified(EFFECT_CONFOUNDED, condition)
-        q = inp.p_y_given_x + _center_offset(inp.c, inp.p_x) * eps
-        return EpsIdentification(EFFECT_CONFOUNDED, q, eps, condition)
-
-    c_top = inp.p_x - inp.u_max
-    if c_top <= 0.0:
-        raise NoFeasibleC(f"p_x - u_max = {c_top:.6g} leaves no positive slack constant")
-    best = None
-    steps = int(math.floor(c_top / AUTO_C_GRID_STEP + 1e-12))
-    for k in range(1, steps + 1):
-        c = k * AUTO_C_GRID_STEP
-        if inp.u_max <= _threshold_factor(c, inp.p_x) * eps + tol:
-            best = c
-    if c_top - steps * AUTO_C_GRID_STEP > 1e-12:
-        if inp.u_max <= _threshold_factor(c_top, inp.p_x) * eps + tol:
-            best = c_top
-    if best is None:
-        raise NoFeasibleC(
-            f"no slack constant on the {AUTO_C_GRID_STEP:g}-step grid over (0, {c_top:.6g}] fires at eps={eps:g}"
-        )
-    condition = _condition(inp, best, eps)
-    q = inp.p_y_given_x + _center_offset(best, inp.p_x) * eps
+    c = inp.c
+    if c is None:
+        c = inp.p_x - inp.u_max
+        if c <= 0.0:
+            raise NoFeasibleC(f"p_x - u_max = {c:.6g} leaves no positive slack constant")
+    condition = _condition(inp, c, eps)
+    if inp.u_max > condition.threshold_value + tol:
+        if inp.c is None:
+            raise NoFeasibleC(
+                f"even the largest slack constant c = p_x - u_max = {c:.6g} does not fire at eps={eps:g}"
+            )
+        return NotIdentified(EFFECT_CONFOUNDED, condition)
+    q = inp.p_y_given_x + _center_offset(c, inp.p_x) * eps
     return EpsIdentification(EFFECT_CONFOUNDED, q, eps, condition)
 
 

@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     ZeroArm,
 )
+from .forms import QUANTITY_LABELS
 from .interval import Interval
 
 __all__ = [
@@ -43,16 +44,45 @@ __all__ = [
     "check_compatibility",
     "CompatibilityReport",
     "Violation",
+    "Effect",
+    "EFFECTS",
     "parse_input_json",
     "parse_counts_csv",
 ]
 
 CELL_NAMES = ("p_xy", "p_xyp", "p_xpy", "p_xpyp")
-CELL_LABELS = {
-    "p_xy": "P(x,y)",
-    "p_xyp": "P(x,y')",
-    "p_xpy": "P(x',y)",
-    "p_xpyp": "P(x',y')",
+
+
+@dataclass(frozen=True, slots=True)
+class Effect:
+    """One causal effect P(o_t) and the data atoms that bound it.
+
+    P(t,o) <= P(o_t) <= 1 - P(t,o') (Tian & Pearl 2000), an interval of
+    width P(t-complement), the opposite-arm marginal.
+    """
+
+    variant: str
+    treatment: str
+    outcome: str
+    attribute: str  # ExperimentalDistribution attribute holding P(o_t)
+    cell: str  # P(t,o)
+    complement: str  # P(t,o')
+    opposite_marginal: str  # P(t-complement)
+
+    @property
+    def label(self) -> str:
+        return QUANTITY_LABELS[self.attribute]
+
+
+#: effect variant token -> :class:`Effect`, in display order
+EFFECTS: dict[str, Effect] = {
+    e.variant: e
+    for e in (
+        Effect("y_x", "x", "y", "p_y_do_x", "p_xy", "p_xyp", "p_xp"),
+        Effect("yp_x", "x", "y'", "p_yp_do_x", "p_xyp", "p_xy", "p_xp"),
+        Effect("y_xp", "x'", "y", "p_y_do_xp", "p_xpy", "p_xpyp", "p_x"),
+        Effect("yp_xp", "x'", "y'", "p_yp_do_xp", "p_xpyp", "p_xpy", "p_x"),
+    )
 }
 
 
@@ -120,10 +150,6 @@ class ObservationalDistribution:
 
     def cell(self, name: str) -> float | None:
         return getattr(self, name)
-
-    @property
-    def present_mass(self) -> float:
-        return sum(getattr(self, n) for n in CELL_NAMES if getattr(self, n) is not None)
 
     @property
     def is_complete(self) -> bool:
@@ -429,37 +455,16 @@ def check_compatibility(
     tol = get_tolerance()
     violations: list[Violation] = []
     skipped: list[str] = []
-
-    def effect(token: str) -> float | None:
-        if exp is None:
-            return None
-        return {
-            "y_x": exp.p_y_do_x,
-            "yp_x": exp.p_yp_do_x,
-            "y_xp": exp.p_y_do_xp,
-            "yp_xp": exp.p_yp_do_xp,
-        }[token]
-
-    def cell(name: str) -> float | None:
-        return None if obs is None else obs.cell(name)
-
-    # (joint cell, effect token, complementary cell, effect label)
-    variants = (
-        ("p_xy", "y_x", "p_xyp", "P(y_x)"),
-        ("p_xyp", "yp_x", "p_xy", "P(y'_x)"),
-        ("p_xpy", "y_xp", "p_xpyp", "P(y_{x'})"),
-        ("p_xpyp", "yp_xp", "p_xpy", "P(y'_{x'})"),
-    )
-    for cell_name, eff_token, comp_name, eff_label in variants:
-        joint = cell(cell_name)
-        comp = cell(comp_name)
-        eff = effect(eff_token)
-        lower_label = f"{CELL_LABELS[cell_name]} <= {eff_label}"
+    for e in EFFECTS.values():
+        joint = None if obs is None else obs.cell(e.cell)
+        comp = None if obs is None else obs.cell(e.complement)
+        eff = None if exp is None else getattr(exp, e.attribute)
+        lower_label = f"{QUANTITY_LABELS[e.cell]} <= {e.label}"
         if joint is None or eff is None:
             skipped.append(lower_label)
         elif joint > eff + tol:
             violations.append(Violation(lower_label, joint, eff))
-        upper_label = f"{eff_label} <= 1 - {CELL_LABELS[comp_name]}"
+        upper_label = f"{e.label} <= 1 - {QUANTITY_LABELS[e.complement]}"
         if comp is None or eff is None:
             skipped.append(upper_label)
         elif eff > 1.0 - comp + tol:

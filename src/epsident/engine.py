@@ -18,18 +18,24 @@ import math
 from dataclasses import dataclass
 
 from . import catalog
-from .bounds import EFFECT_LABELS, EFFECT_VARIANTS, effect_bounds, pn_bounds, pns_bounds, ps_bounds
+from .bounds import (
+    bound_arguments,
+    effect_bounds,
+    refuse_incompatible,
+    target_bounds,
+    tight_interval,
+)
 from .config import get_tolerance
 from .distributions import (
+    EFFECTS,
     Assumptions,
     Condition,
     EpsIdentification,
     ExperimentalDistribution,
     ObservationalDistribution,
-    check_compatibility,
 )
 from .errors import Incompatible, InvalidDistribution, MissingData, ZeroDenominator
-from .forms import QUANTITY_LABELS, QUANTITIES
+from .forms import QUANTITIES, QUANTITY_ATOMS, QUANTITY_LABELS
 from .interval import Interval
 
 __all__ = [
@@ -37,6 +43,7 @@ __all__ = [
     "NotIdentified",
     "NotEvaluated",
     "EpsReport",
+    "eps_identify",
     "eps_identify_pns",
     "eps_identify_pn",
     "eps_identify_ps",
@@ -103,10 +110,8 @@ class QuantityRanges:
                 lo, hi = 0.0, 1.0
             put(name, lo, hi)
 
-        subset("p_x", "p_xy", "p_xyp")
-        subset("p_xp", "p_xpy", "p_xpyp")
-        subset("p_y", "p_xy", "p_xpy")
-        subset("p_yp", "p_xyp", "p_xpyp")
+        for name in ("p_x", "p_xp", "p_y", "p_yp"):
+            subset(name, *QUANTITY_ATOMS[name])
 
         if assumptions is not None:
             for name, comp in (("p_x", "p_xp"), ("p_xp", "p_x"), ("p_y", "p_yp"), ("p_yp", "p_y")):
@@ -118,12 +123,7 @@ class QuantityRanges:
                 cur = iv[comp]
                 put(comp, max(cur.lo, 1.0 - ub), cur.hi)
                 # a marginal bound also caps its member cells
-                for cell in (
-                    ("p_xy", "p_xyp") if name == "p_x"
-                    else ("p_xpy", "p_xpyp") if name == "p_xp"
-                    else ("p_xy", "p_xpy") if name == "p_y"
-                    else ("p_xyp", "p_xpyp")
-                ):
+                for cell in QUANTITY_ATOMS[name]:
                     cur = iv[cell]
                     put(cell, cur.lo, min(cur.hi, ub))
 
@@ -210,47 +210,29 @@ class EpsReport:
         }
 
 
-def _refuse_incompatible(exp, obs) -> None:
-    if exp is None or obs is None:
-        return
-    report = check_compatibility(exp, obs)
-    if report.violations:
-        raise Incompatible(report.violations)
-
-
-def _tight_interval(quantity, exp, obs) -> Interval | None:
-    if exp is None or obs is None:
-        return None
-    fn = {"pns": pns_bounds, "pn": pn_bounds, "ps": ps_bounds}[quantity]
-    try:
-        return fn(exp, obs)
-    except (MissingData, ZeroDenominator):
-        return None
-
-
-def _scan(
+def eps_identify(
     quantity: str,
-    exp: ExperimentalDistribution | None,
-    obs: ObservationalDistribution | None,
-    eps: float,
-    assumptions: Assumptions | None,
-    denominator: str | None,
+    exp: ExperimentalDistribution | None = None,
+    obs: ObservationalDistribution | None = None,
+    eps: float = 0.0,
+    assumptions: Assumptions | None = None,
 ) -> EpsReport:
+    """Scan every published near-point condition for one of
+    :data:`catalog.TARGETS` at radius ``eps``."""
+    target = catalog.target(quantity)
     if not (eps > 0.0) or not math.isfinite(eps):
         raise InvalidDistribution(f"eps must be positive, got {eps!r}")
     ranges = QuantityRanges(exp, obs, assumptions)
     tol = get_tolerance()
 
-    den_value = None
-    if denominator is not None:
-        den_value = ranges.exact(denominator)
-        if den_value is not None and den_value <= tol:
-            raise ZeroDenominator(f"{QUANTITY_LABELS[denominator]} = 0, {quantity} is undefined")
-    _refuse_incompatible(exp, obs)
+    denominator = target.denominator
+    den_value = None if denominator is None else ranges.exact(denominator)
+    target.require_denominator(den_value)
+    refuse_incompatible(exp, obs)
 
     fired: list[tuple[int, EpsIdentification]] = []
     skipped: list[NotEvaluated] = []
-    for index, entry in enumerate(catalog.CATALOGS[quantity]):
+    for index, entry in enumerate(target.entries):
         missing: list[str] = []
         if denominator is not None and den_value is None:
             missing.append(denominator)
@@ -278,15 +260,23 @@ def _scan(
             entry_id=entry.entry_id,
             premise=entry.premise_label,
             premise_value=premise_value,
-            threshold="2*eps" if denominator is None else f"2*eps*{QUANTITY_LABELS[denominator]}",
+            threshold=entry.threshold_label,
             threshold_value=threshold,
             center=entry.center_label,
         )
         fired.append((index, EpsIdentification(quantity, q, eps, condition)))
 
-    tight = _tight_interval(quantity, exp, obs)
     tightest = None
     if fired:
+        # the tight bounds, when the data give them, rank the fired entries;
+        # compatibility was refused above, so it is not checked again
+        tight = None
+        if exp is not None and obs is not None:
+            try:
+                tight = tight_interval(bound_arguments(quantity, exp, obs))
+            except (MissingData, ZeroDenominator):
+                pass
+
         def sort_key(item):
             index, ident = item
             width = 2.0 * ident.eps
@@ -312,7 +302,7 @@ def eps_identify_pns(
     assumptions: Assumptions | None = None,
 ) -> EpsReport:
     """Scan all published near-point conditions for P(y_x, y'_{x'})."""
-    return _scan("pns", exp, obs, eps, assumptions, None)
+    return eps_identify("pns", exp, obs, eps, assumptions)
 
 
 def eps_identify_pn(
@@ -322,7 +312,7 @@ def eps_identify_pn(
     assumptions: Assumptions | None = None,
 ) -> EpsReport:
     """Scan all published near-point conditions for P(y'_{x'} | x, y)."""
-    return _scan("pn", exp, obs, eps, assumptions, "p_xy")
+    return eps_identify("pn", exp, obs, eps, assumptions)
 
 
 def eps_identify_ps(
@@ -332,21 +322,12 @@ def eps_identify_ps(
     assumptions: Assumptions | None = None,
 ) -> EpsReport:
     """Scan all published near-point conditions for P(y_x | x', y')."""
-    return _scan("ps", exp, obs, eps, assumptions, "p_xpyp")
+    return eps_identify("ps", exp, obs, eps, assumptions)
 
 
 # ---------------------------------------------------------------------------
 # Causal effects from one joint cell and a marginal bound
 # ---------------------------------------------------------------------------
-
-_EFFECT_INPUTS = {
-    # variant -> (cell atom, bounded marginal)
-    "y_x": ("p_xy", "p_xp"),
-    "yp_x": ("p_xyp", "p_xp"),
-    "y_xp": ("p_xpy", "p_x"),
-    "yp_xp": ("p_xpyp", "p_x"),
-}
-
 
 def eps_identify_effect(
     p_txy: float,
@@ -361,14 +342,14 @@ def eps_identify_effect(
     of width exactly the opposite marginal.  So an upper bound ub on that
     marginal with ub <= 2*eps certifies  P(o_t) ~ P(t,o) + eps.
     """
-    if variant not in _EFFECT_INPUTS:
+    if variant not in EFFECTS:
         raise InvalidDistribution(f"unknown effect variant {variant!r}")
     if not (eps > 0.0) or not math.isfinite(eps):
         raise InvalidDistribution(f"eps must be positive, got {eps!r}")
     for name, v in (("p_txy", p_txy), ("other_marginal_ub", other_marginal_ub)):
         if not (0.0 <= v <= 1.0):
             raise InvalidDistribution(f"{name} must be in [0,1], got {v!r}")
-    cell, marginal = _EFFECT_INPUTS[variant]
+    cell, marginal = EFFECTS[variant].cell, EFFECTS[variant].opposite_marginal
     condition = Condition(
         entry_id=f"effect-{variant}",
         premise=f"{QUANTITY_LABELS[marginal]} <= 2*eps",
@@ -404,7 +385,8 @@ def eps_identify_effects(
     ranges = QuantityRanges(None, obs, assumptions)
     results: dict[str, EpsIdentification | NotIdentified] = {}
     skipped: dict[str, tuple[str, ...]] = {}
-    for variant, (cell, marginal) in _EFFECT_INPUTS.items():
+    for variant, effect in EFFECTS.items():
+        cell, marginal = effect.cell, effect.opposite_marginal
         missing = []
         cell_value = ranges.exact(cell)
         if cell_value is None:
@@ -430,23 +412,14 @@ def minimal_epsilon(
     The quantity is identifiable to q_star within every radius >= eps_star
     and within no smaller radius.
     """
-    if quantity == "pns":
-        interval = pns_bounds(exp, obs)
-    elif quantity == "pn":
-        interval = pn_bounds(exp, obs)
-    elif quantity == "ps":
-        interval = ps_bounds(exp, obs)
-    elif quantity in EFFECT_VARIANTS:
+    if quantity in EFFECTS:
         interval = effect_bounds(obs, quantity)
     else:
-        raise InvalidDistribution(f"unknown quantity {quantity!r}")
+        interval = target_bounds(quantity, exp, obs)
     return interval.width / 2.0, interval.midpoint
 
 
 QUANTITY_DISPLAY = {
-    "pns": "PNS",
-    "pn": "PN",
-    "ps": "PS",
-    "benefit": "benefit",
-    **EFFECT_LABELS,
+    **{name: t.label for name, t in catalog.TARGETS.items()},
+    **{variant: e.label for variant, e in EFFECTS.items()},
 }

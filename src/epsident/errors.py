@@ -61,7 +61,7 @@ class EmptyStratum(EpsidentError):
 
 
 class NoFeasibleC(EpsidentError):
-    """No slack constant on the search grid satisfies the firing condition."""
+    """No admissible slack constant satisfies the firing condition."""
 
 
 class Infeasible(EpsidentError):

@@ -54,7 +54,6 @@ __all__ = [
 RESPONSE_TYPES = ("complier", "always_taker", "never_taker", "defier")
 
 # flat variable order: (type, x-state) row-major over the table above
-_VAR_NAMES = tuple(f"{t}|{x}" for t in RESPONSE_TYPES for x in ("x", "x'"))
 _N = 8
 
 _ROWS = {
@@ -85,9 +84,6 @@ _OBJECTIVES = {
     "pn": np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=float),
     "ps": np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=float),
 }
-
-TARGETS = ("pns", "pn", "ps", "y_x", "yp_x", "y_xp", "yp_xp", "benefit")
-
 
 class ResponseTypeJoint:
     """Joint distribution over (response type, observed treatment).

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from epsident import ExperimentalDistribution, ObservationalDistribution, eps_identify_pns
+from epsident import bounds, cli, distributions, engine
 from epsident.cli import main
 from epsident.config import DEFAULT_TOLERANCE, set_tolerance
 from epsident.report import parse_json, render_json
@@ -229,6 +231,59 @@ class TestVerify:
         report = parse_json(capsys.readouterr().out)
         names = {c["name"] for c in report["checks"]}
         assert "confounder-sandwich" in names
+
+    def test_confounder_without_slack_is_skipped(self, write, capsys):
+        # u_max = 0.2 >= P(x) = 0.15 leaves no slack constant c > 0
+        data = {
+            "experimental": {"p_y_do_x": 0.7, "p_y_do_xp": 0.3},
+            "observational": {"p_xy": 0.1, "p_xyp": 0.05, "p_xpy": 0.25, "p_xpyp": 0.6},
+            "confounder": {"u_max": 0.2},
+        }
+        path = write("heavy.json", data)
+        assert main(["verify", path, "--trials", "0", "--json"]) == 0
+        report = parse_json(capsys.readouterr().out)
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["confounder-sandwich"]["passed"]
+        assert by_name["confounder-sandwich"]["details"].startswith("skipped")
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Wrap ``name`` in every module that binds it; returns the call list."""
+    calls = []
+    for mod in modules:
+        if hasattr(mod, name):
+            original = getattr(mod, name)
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class TestRepeatedWork:
+    def test_verify_enumerates_each_polytope_once(self, write, capsys, monkeypatch):
+        # effect identifications fire at several radii, yet the polytope
+        # with and without the experimental atoms is enumerated once each
+        data = {
+            "experimental": {"p_y_do_x": 0.7, "p_y_do_xp": 0.47},
+            "observational": {"p_xy": 0.03, "p_xyp": 0.02, "p_xpy": 0.45, "p_xpyp": 0.5},
+        }
+        path = write("effects.json", data)
+        calls = _count_calls(monkeypatch, [cli.oracle_mod], "feasible_vertices")
+        assert main(["verify", path, "--trials", "0", "--json"]) == 0
+        report = parse_json(capsys.readouterr().out)
+        soundness = {c["name"]: c for c in report["checks"]}["input-eps-soundness"]
+        assert soundness["passed"]
+        assert len(calls) == 2
+
+    def test_scan_checks_compatibility_once(self, monkeypatch):
+        exp = ExperimentalDistribution(0.7, 0.3)
+        obs = ObservationalDistribution(0.4, 0.1, 0.2, 0.3)
+        calls = _count_calls(monkeypatch, [distributions, bounds, engine], "check_compatibility")
+        assert eps_identify_pns(exp, obs, eps=0.15).fired
+        assert len(calls) == 1
 
 
 class TestReportContract:

@@ -47,6 +47,24 @@ class TestGeneralRoute:
             ConfoundedEffectInput(0.62, 0.84, 0.01, c=0.83), eps=0.025
         )
         assert ident.q == pytest.approx(explicit.q)
+        rng = np.random.default_rng(11)
+        n_fired = 0
+        for _ in range(300):
+            p_x, u_max = rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.05)
+            p_ygx, eps = rng.uniform(), rng.choice([0.01, 0.05, 0.1, 0.3])
+            if p_x - u_max <= 0:
+                continue
+            explicit = eps_identify_effect_confounded(
+                ConfoundedEffectInput(p_ygx, p_x, u_max, c=p_x - u_max), eps
+            )
+            try:
+                auto = eps_identify_effect_confounded(ConfoundedEffectInput(p_ygx, p_x, u_max), eps)
+            except NoFeasibleC:
+                assert isinstance(explicit, NotIdentified)
+                continue
+            n_fired += 1
+            assert auto == explicit
+        assert n_fired > 50
 
     def test_auto_raises_when_nothing_fires(self):
         inp = ConfoundedEffectInput(p_y_given_x=0.5, p_x=0.3, u_max=0.29, c=None)

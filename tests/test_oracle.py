@@ -130,16 +130,25 @@ class TestFeasibleRange:
                 assert rng.lo - 1e-9 <= truth <= rng.hi + 1e-9
 
 
-def _grid_range(objective, rows, rhs, denominator, steps=20, slack=0.05):
-    """Coarse composition-grid search over the polytope, as an LP cross-check."""
-    lo, hi = np.inf, -np.inf
-    for bars in itertools.combinations(range(steps + 7), 7):
-        parts = np.diff((-1,) + bars + (steps + 7,)) - 1
-        q = parts / steps
-        if all(abs(row @ q - v) <= slack for row, v in zip(rows, rhs)):
-            value = objective @ q / denominator
-            lo, hi = min(lo, value), max(hi, value)
-    return lo, hi
+def _grid_points(rows, rhs, steps=20, slack=0.05):
+    """Every point of the composition grid with step 1/steps over the 8-cell
+    simplex (C(steps+7, 7) points) that satisfies each constraint within slack."""
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(steps + 7), 7)),
+        dtype=np.int8,
+    ).reshape(-1, 7)
+    edges = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), steps + 7)])
+    q = (np.diff(edges, axis=1) - 1) / steps
+    feasible = np.ones(len(q), dtype=bool)
+    for row, v in zip(rows, rhs):
+        # sum the cells left to right, as a dot product of one point does:
+        # grid points sit exactly on the slack boundary, so the rounding of
+        # another summation order would move points in or out of the set
+        total = np.zeros(len(q))
+        for j, coef in enumerate(row):
+            total = total + q[:, j] * coef
+        feasible &= np.abs(total - v) <= slack
+    return q[feasible]
 
 
 @pytest.mark.slow
@@ -151,8 +160,10 @@ def test_grid_cross_check(running_exp, running_obs):
     rhs = [0.7, 0.3, 0.4, 0.1, 0.2, 0.3]
     vertices = feasible_vertices(running_exp, running_obs)
     slack = 0.05
+    points = _grid_points(rows, rhs, slack=slack)
     for name, den in (("pns", 1.0), ("pn", 0.4), ("ps", 0.3)):
-        glo, ghi = _grid_range(_OBJECTIVES[name], rows, rhs, den, slack=slack)
+        values = points @ _OBJECTIVES[name] / den
+        glo, ghi = values.min(), values.max()
         rng = feasible_range(name, running_exp, running_obs, vertices=vertices)
         # the slack band widens the grid-feasible set; a slack-sized shift in
         # each of the two constraints touching the objective cells, divided
