@@ -59,12 +59,19 @@ EXIT_VERIFY_FAILED = 5
 
 DEFAULT_SEED = 20250809
 EPS_SWEEP = (0.01, 0.05, 0.1, 0.25)
+TIGHTNESS_TOL = 1e-6  # closed-form vs oracle endpoint error that verify accepts
 SCAN_QUANTITIES = tuple(TARGETS)
 
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _refuse(compat) -> int:
+    for v in compat.violations:
+        print(f"incompatible: {v}", file=sys.stderr)
+    return EXIT_INCOMPATIBLE
 
 
 def _load_input(path: str, kind: str | None) -> InputData:
@@ -118,9 +125,7 @@ def cmd_bounds(args) -> int:
     data = _load_input(args.input, args.kind)
     compat = check_compatibility(data.experimental, data.observational)
     if compat.violations and not args.force:
-        for v in compat.violations:
-            print(f"incompatible: {v}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
+        return _refuse(compat)
 
     warnings = [f"incompatible: {v}" for v in compat.violations]
     effects = {}
@@ -134,27 +139,30 @@ def cmd_bounds(args) -> int:
     quantities = {}
     for name in SCAN_QUANTITIES:
         try:
-            interval = bounds_mod.target_bounds(name, data.experimental, data.observational)
             arguments = bounds_mod.bound_arguments(name, data.experimental, data.observational)
-            for a in arguments:
-                if a.value < -get_tolerance() or a.value > 1.0 + get_tolerance():
-                    warnings.append(
-                        f"{name}: argument {a.label} = {a.value:.6g} clamped by the constant bound"
-                    )
-            quantities[name] = {
-                "lo": interval.lo,
-                "hi": interval.hi,
-                "arguments": [
-                    {"name": a.name, "side": a.side, "label": a.label, "value": a.value}
-                    for a in arguments
-                ],
-            }
         except MissingData as exc:
             quantities[name] = {"status": "insufficient data", "missing": list(exc.missing)}
+            continue
         except ZeroDenominator as exc:
             quantities[name] = {"status": "undefined", "reason": str(exc)}
-        except Incompatible:
+            continue
+        if compat.violations:
             quantities[name] = {"status": "refused", "reason": "incompatible data"}
+            continue
+        interval = bounds_mod.tight_interval(arguments)
+        for a in arguments:
+            if a.value < -get_tolerance() or a.value > 1.0 + get_tolerance():
+                warnings.append(
+                    f"{name}: argument {a.label} = {a.value:.6g} clamped by the constant bound"
+                )
+        quantities[name] = {
+            "lo": interval.lo,
+            "hi": interval.hi,
+            "arguments": [
+                {"name": a.name, "side": a.side, "label": a.label, "value": a.value}
+                for a in arguments
+            ],
+        }
 
     report = {
         "command": "bounds",
@@ -167,14 +175,7 @@ def cmd_bounds(args) -> int:
     lines = ["bounds report", "============="]
     for w in warnings:
         lines.append(f"warning: {w}")
-    for variant, label in bounds_mod.EFFECT_LABELS.items():
-        entry = effects[variant]
-        if "lo" in entry:
-            lines.append(f"{label:11s} in [{entry['lo']:.6g}, {entry['hi']:.6g}]")
-        else:
-            lines.append(f"{label:11s} insufficient data (missing: {', '.join(entry['missing'])})")
-    for name in SCAN_QUANTITIES:
-        entry = quantities[name]
+    for name, entry in {**effects, **quantities}.items():
         label = engine_mod.QUANTITY_DISPLAY[name]
         if "lo" in entry:
             lines.append(f"{label:11s} in [{entry['lo']:.6g}, {entry['hi']:.6g}]")
@@ -354,9 +355,7 @@ def cmd_unit_select(args) -> int:
     data = _load_input(args.input, args.kind)
     compat = check_compatibility(data.experimental, data.observational)
     if compat.violations:
-        for v in compat.violations:
-            print(f"incompatible: {v}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
+        return _refuse(compat)
     beta, gamma, theta, delta = args.payoffs
     payoffs = BenefitVector(beta, gamma, theta, delta)
     if data.experimental is None:
@@ -389,13 +388,81 @@ def cmd_unit_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _contains(outer_lo, outer_hi, interval, tol) -> bool:
-    return outer_lo - tol <= interval.lo and interval.hi <= outer_hi + tol
+def _oracle_ranges(exp, obs, assume, vertices):
+    """The oracle range of each quantity on one dataset, computed once on
+    first use: targets over the polytope ``vertices``, effects over the
+    polytope without the experimental atoms; None where the oracle cannot
+    range the quantity."""
+
+    @functools.cache
+    def effect_vertices():
+        """Vertices of the polytope without the experimental atoms, which the
+        effect conditions ignore; None when no model or no atom remains."""
+        try:
+            return oracle_mod.feasible_vertices(None, obs, assume)
+        except (Infeasible, MissingData):
+            return None
+
+    @functools.cache
+    def oracle_range(quantity: str):
+        if quantity in TARGETS:
+            try:
+                return oracle_mod.feasible_range(quantity, exp, obs, vertices=vertices)
+            except (ZeroDenominator, Unsupported):
+                return None
+        verts = effect_vertices()
+        return None if verts is None else oracle_mod.feasible_range(quantity, None, obs, vertices=verts)
+
+    return oracle_range
+
+
+def _tightness(exp, obs, oracle_range) -> dict[str, float]:
+    """Closed-form vs oracle error of each target's tight bounds, on full
+    compatible data; targets the oracle cannot range are left out."""
+    errors = {}
+    for name in SCAN_QUANTITIES:
+        interval = oracle_range(name)
+        if interval is None:
+            continue
+        closed = bounds_mod.tight_interval(bounds_mod.bound_arguments(name, exp, obs))
+        errors[name] = max(abs(closed.lo - interval.lo), abs(closed.hi - interval.hi))
+    return errors
+
+
+def _eps_soundness(exp, obs, assume, oracle_range, effects: bool) -> tuple[int, list[str]]:
+    """Check each identification the eps sweep fires against the oracle range.
+
+    Returns how many were checked and the labels of those whose certified
+    interval misses the range; ``effects`` adds the effect scan.
+    """
+    checked, failures = 0, []
+    for eps in EPS_SWEEP:
+        fired = []
+        for name in SCAN_QUANTITIES:
+            try:
+                result = engine_mod.eps_identify(name, exp, obs, eps, assume)
+            except ZeroDenominator:
+                continue
+            fired += [(name, ident.condition.entry_id, ident) for ident in result.fired]
+        if effects:
+            scan = engine_mod.eps_identify_effects(eps, obs, assume)
+            fired += [
+                (variant, f"effect-{variant}", result)
+                for variant, result in scan.results.items()
+                if isinstance(result, EpsIdentification)
+            ]
+        for quantity, label, ident in fired:
+            interval = oracle_range(quantity)
+            if interval is None:
+                continue
+            checked += 1
+            if not ident.certified.contains_interval(interval):
+                failures.append(f"{label}@eps={eps}")
+    return checked, failures
 
 
 def cmd_verify(args) -> int:
     data = _load_input(args.input, args.kind)
-    tol = get_tolerance()
     checks: list[dict] = []
 
     def add(name: str, passed: bool, details: str) -> None:
@@ -411,76 +478,30 @@ def cmd_verify(args) -> int:
         or f"{8 - len(compat.not_evaluated)} checks passed, {len(compat.not_evaluated)} not evaluated",
     )
 
-    has_atoms = (
-        (exp is not None and (exp.p_y_do_x is not None or exp.p_y_do_xp is not None))
-        or (obs is not None)
-        or (assume is not None and not assume.is_empty)
-    )
     vertices = None
-    if has_atoms:
-        try:
-            vertices = oracle_mod.feasible_vertices(exp, obs, assume)
-            add("input-feasibility", True, f"{len(vertices)} polytope vertices")
-        except Infeasible as exc:
-            add("input-feasibility", False, f"Infeasible: {exc}")
+    try:
+        vertices = oracle_mod.feasible_vertices(exp, obs, assume)
+        add("input-feasibility", True, f"{len(vertices)} polytope vertices")
+    except Infeasible as exc:
+        add("input-feasibility", False, f"Infeasible: {exc}")
+    except MissingData:
+        pass  # no data atom, so no polytope to check against
 
-    if vertices is not None and exp is not None and obs is not None \
-            and exp.is_complete and obs.is_complete:
-        worst = 0.0
-        detail = []
-        for name in SCAN_QUANTITIES:
-            try:
-                closed = bounds_mod.target_bounds(name, exp, obs)
-                oracle_range = oracle_mod.feasible_range(name, exp, obs, vertices=vertices)
-            except ZeroDenominator:
-                continue
-            except Incompatible:
-                break
-            err = max(abs(closed.lo - oracle_range.lo), abs(closed.hi - oracle_range.hi))
-            worst = max(worst, err)
-            detail.append(f"{name} err {err:.2e}")
-        add("input-tightness", worst <= 1e-6, ", ".join(detail) or "skipped (refused)")
-
-    @functools.cache
-    def obs_vertices():
-        """Vertices of the polytope without the experimental atoms, which the
-        effect conditions ignore; None when no model or no atom remains."""
-        try:
-            return oracle_mod.feasible_vertices(None, obs, assume)
-        except (Infeasible, MissingData):
-            return None
-
-    if vertices is not None and not compat.violations:
-        failures = []
-        n_checked = 0
-        for eps in EPS_SWEEP:
-            for name in SCAN_QUANTITIES:
-                try:
-                    result = engine_mod.eps_identify(name, exp, obs, eps, assume)
-                    oracle_range = oracle_mod.feasible_range(name, exp, obs, vertices=vertices)
-                except (ZeroDenominator, Unsupported):
-                    continue
-                for ident in result.fired:
-                    n_checked += 1
-                    if not _contains(ident.certified.lo, ident.certified.hi, oracle_range, tol):
-                        failures.append(f"{ident.condition.entry_id}@eps={eps}")
-            scan = engine_mod.eps_identify_effects(eps, obs, assume)
-            for variant, result in scan.results.items():
-                if not isinstance(result, EpsIdentification):
-                    continue
-                verts = obs_vertices()
-                if verts is None:
-                    continue
-                oracle_range = oracle_mod.feasible_range(variant, None, obs, vertices=verts)
-                n_checked += 1
-                if not _contains(result.certified.lo, result.certified.hi, oracle_range, tol):
-                    failures.append(f"effect-{variant}@eps={eps}")
-        add(
-            "input-eps-soundness",
-            not failures,
-            f"{n_checked} fired identifications contained the oracle range"
-            if not failures else "violations: " + ", ".join(failures),
-        )
+    if vertices is not None:
+        oracle_range = _oracle_ranges(exp, obs, assume, vertices)
+        if exp is not None and obs is not None and exp.is_complete and obs.is_complete:
+            errors = {} if compat.violations else _tightness(exp, obs, oracle_range)
+            add("input-tightness", max(errors.values(), default=0.0) <= TIGHTNESS_TOL,
+                ", ".join(f"{name} err {err:.2e}" for name, err in errors.items())
+                or "skipped (refused)")
+        if not compat.violations:
+            checked, failures = _eps_soundness(exp, obs, assume, oracle_range, effects=True)
+            add(
+                "input-eps-soundness",
+                not failures,
+                f"{checked} fired identifications contained the oracle range"
+                if not failures else "violations: " + ", ".join(failures),
+            )
 
     rng_base = args.seed
     n = args.trials
@@ -493,28 +514,21 @@ def cmd_verify(args) -> int:
         if check_compatibility(s_exp, s_obs).violations:
             compat_fail += 1
             continue
-        verts = oracle_mod.feasible_vertices(s_exp, s_obs)
-        for name in SCAN_QUANTITIES:
-            try:
-                closed = bounds_mod.target_bounds(name, s_exp, s_obs)
-                oracle_range = oracle_mod.feasible_range(name, s_exp, s_obs, vertices=verts)
-            except ZeroDenominator:
-                continue
-            err = max(abs(closed.lo - oracle_range.lo), abs(closed.hi - oracle_range.hi))
-            tight_err = max(tight_err, err)
-            if err > 1e-6:
-                tight_fail += 1
-            for eps in EPS_SWEEP:
-                result = engine_mod.eps_identify(name, s_exp, s_obs, eps)
-                for ident in result.fired:
-                    n_sound += 1
-                    if not _contains(ident.certified.lo, ident.certified.hi, oracle_range, tol):
-                        sound_fail += 1
-    add("sampled-compatibility", compat_fail == 0, f"{n} induced pairs compatible")
+        oracle_range = _oracle_ranges(s_exp, s_obs, None, oracle_mod.feasible_vertices(s_exp, s_obs))
+        errors = _tightness(s_exp, s_obs, oracle_range)
+        tight_err = max([tight_err, *errors.values()])
+        tight_fail += sum(err > TIGHTNESS_TOL for err in errors.values())
+        checked, failures = _eps_soundness(s_exp, s_obs, None, oracle_range, effects=False)
+        n_sound += checked
+        sound_fail += len(failures)
+    add("sampled-compatibility", compat_fail == 0,
+        f"{n} induced pairs compatible" if not compat_fail
+        else f"{compat_fail} of {n} induced pairs incompatible")
     add("sampled-tightness", tight_fail == 0,
         f"{n} joints, worst closed-form vs oracle error {tight_err:.2e}")
     add("sampled-eps-soundness", sound_fail == 0,
-        f"{n_sound} fired identifications contained the oracle range")
+        f"{n_sound} fired identifications contained the oracle range" if not sound_fail
+        else f"{sound_fail} of {n_sound} fired identifications missed the oracle range")
 
     for i in range(n):
         scenario = oracle_mod.sample_joint(rng_base + 7_000_000 + i, defier_free=True)
@@ -527,7 +541,8 @@ def cmd_verify(args) -> int:
                 or abs(ident.ps - joint.ps()) > 1e-9):
             mono_fail += 1
     add("sampled-monotone", mono_fail == 0,
-        f"{n} defier-free joints match the closed monotone formulas within 1e-9")
+        f"{n} defier-free joints match the closed monotone formulas within 1e-9" if not mono_fail
+        else f"{mono_fail} of {n} defier-free joints miss the closed monotone formulas by more than 1e-9")
 
     p_x, p_ygx = _confounder_margins(data.confounder, obs)
     if data.confounder is not None and p_x is not None and p_ygx is not None:
@@ -541,10 +556,7 @@ def cmd_verify(args) -> int:
             bad = [
                 f"c={c:.4g}"
                 for c in c_values
-                if not _contains(
-                    *conf_mod.effect_sandwich(p_ygx, p_x, u_max, c).as_tuple(),
-                    model_range, tol,
-                )
+                if not conf_mod.effect_sandwich(p_ygx, p_x, u_max, c).contains_interval(model_range)
             ]
             add("confounder-sandwich", not bad,
                 f"model range {model_range} inside the sandwich for {len(c_values)} slack values"
@@ -630,6 +642,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "eps", None) is not None and not args.eps > 0:
         return _fail("--eps must be positive", EXIT_PARSE)
+    if getattr(args, "trials", 0) < 0:
+        return _fail("--trials must be non-negative", EXIT_PARSE)
     try:
         return args.fn(args)
     except ParseError as exc:

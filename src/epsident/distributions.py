@@ -50,9 +50,6 @@ __all__ = [
     "parse_counts_csv",
 ]
 
-CELL_NAMES = ("p_xy", "p_xyp", "p_xpy", "p_xpyp")
-
-
 @dataclass(frozen=True, slots=True)
 class Effect:
     """One causal effect P(o_t) and the data atoms that bound it.
@@ -95,6 +92,17 @@ def _check_prob(value: float | None, name: str) -> float | None:
     return min(max(v, 0.0), 1.0)
 
 
+def _check_probs(record, names) -> None:
+    """Validate and clamp the named probability fields of a frozen record."""
+    for name in names:
+        object.__setattr__(record, name, _check_prob(getattr(record, name), name))
+
+
+def _set_fields(record) -> dict:
+    """The fields of a slotted record that are set, in declaration order."""
+    return {name: value for name in record.__slots__ if (value := getattr(record, name)) is not None}
+
+
 @dataclass(frozen=True, slots=True)
 class ExperimentalDistribution:
     """Causal-effect probabilities P(y_x) and P(y_{x'}); either may be absent."""
@@ -103,8 +111,7 @@ class ExperimentalDistribution:
     p_y_do_xp: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_y_do_x", _check_prob(self.p_y_do_x, "p_y_do_x"))
-        object.__setattr__(self, "p_y_do_xp", _check_prob(self.p_y_do_xp, "p_y_do_xp"))
+        _check_probs(self, self.__slots__)
 
     @property
     def p_yp_do_x(self) -> float | None:
@@ -119,12 +126,7 @@ class ExperimentalDistribution:
         return self.p_y_do_x is not None and self.p_y_do_xp is not None
 
     def to_json_dict(self) -> dict:
-        out = {}
-        if self.p_y_do_x is not None:
-            out["p_y_do_x"] = self.p_y_do_x
-        if self.p_y_do_xp is not None:
-            out["p_y_do_xp"] = self.p_y_do_xp
-        return out
+        return _set_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,10 +139,9 @@ class ObservationalDistribution:
     p_xpyp: float | None = None
 
     def __post_init__(self) -> None:
-        for name in CELL_NAMES:
-            object.__setattr__(self, name, _check_prob(getattr(self, name), name))
-        present = [getattr(self, name) for name in CELL_NAMES if getattr(self, name) is not None]
-        total = sum(present)
+        _check_probs(self, self.__slots__)
+        present = _set_fields(self)
+        total = sum(present.values())
         tol = get_tolerance()
         if len(present) == len(CELL_NAMES):
             if abs(total - 1.0) > tol:
@@ -185,7 +186,10 @@ class ObservationalDistribution:
         return self.p_xy / px
 
     def to_json_dict(self) -> dict:
-        return {n: getattr(self, n) for n in CELL_NAMES if getattr(self, n) is not None}
+        return _set_fields(self)
+
+
+CELL_NAMES = ObservationalDistribution.__slots__
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,21 +242,14 @@ class Assumptions:
     p_yp_max: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("p_x_max", "p_xp_max", "p_y_max", "p_yp_max"):
-            object.__setattr__(self, name, _check_prob(getattr(self, name), name))
+        _check_probs(self, self.__slots__)
 
     @property
     def is_empty(self) -> bool:
-        return all(
-            getattr(self, n) is None for n in ("p_x_max", "p_xp_max", "p_y_max", "p_yp_max")
-        )
+        return not _set_fields(self)
 
     def to_json_dict(self) -> dict:
-        return {
-            n: getattr(self, n)
-            for n in ("p_x_max", "p_xp_max", "p_y_max", "p_yp_max")
-            if getattr(self, n) is not None
-        }
+        return _set_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,9 +267,7 @@ class ConfounderSpec:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u_max", _check_prob(self.u_max, "u_max"))
-        object.__setattr__(self, "p_x", _check_prob(self.p_x, "p_x"))
-        object.__setattr__(self, "p_y_given_x", _check_prob(self.p_y_given_x, "p_y_given_x"))
+        _check_probs(self, [name for name in self.__slots__ if name != "c"])
         if self.c is not None:
             c = float(self.c)
             if not math.isfinite(c) or c <= 0:
@@ -280,11 +275,7 @@ class ConfounderSpec:
             object.__setattr__(self, "c", c)
 
     def to_json_dict(self) -> dict:
-        out = {"u_max": self.u_max}
-        for name in ("p_x", "p_y_given_x", "c"):
-            if getattr(self, name) is not None:
-                out[name] = getattr(self, name)
-        return out
+        return _set_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,16 +288,10 @@ class InputData:
     confounder: ConfounderSpec | None = None
 
     def to_json_dict(self) -> dict:
-        out = {}
-        if self.experimental is not None:
-            out["experimental"] = self.experimental.to_json_dict()
-        if self.observational is not None:
-            out["observational"] = self.observational.to_json_dict()
-        if self.assumptions is not None and not self.assumptions.is_empty:
-            out["assumptions"] = self.assumptions.to_json_dict()
-        if self.confounder is not None:
-            out["confounder"] = self.confounder.to_json_dict()
-        return out
+        sections = _set_fields(self)
+        if self.assumptions is not None and self.assumptions.is_empty:
+            del sections["assumptions"]
+        return {name: record.to_json_dict() for name, record in sections.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,14 +306,7 @@ class Condition:
     center: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "entry_id": self.entry_id,
-            "premise": self.premise,
-            "premise_value": self.premise_value,
-            "threshold": self.threshold,
-            "threshold_value": self.threshold_value,
-            "center": self.center,
-        }
+        return _set_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -477,8 +455,6 @@ def check_compatibility(
 # Ingestion: JSON schema and counts CSV
 # --------------------------------------------------------------------------
 
-_JSON_SECTIONS = {"experimental", "observational", "assumptions", "confounder"}
-
 
 def parse_input_json(obj: object) -> InputData:
     """Parse the canonical input mapping.
@@ -494,7 +470,7 @@ def parse_input_json(obj: object) -> InputData:
     """
     if not isinstance(obj, dict):
         raise ParseError(f"input must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - _JSON_SECTIONS
+    unknown = set(obj) - set(InputData.__slots__)
     if unknown:
         raise ParseError(f"unknown input sections: {', '.join(sorted(unknown))}")
 
@@ -513,10 +489,10 @@ def parse_input_json(obj: object) -> InputData:
         return raw
 
     try:
-        exp_raw = section("experimental", ("p_y_do_x", "p_y_do_xp"))
+        exp_raw = section("experimental", ExperimentalDistribution.__slots__)
         obs_raw = section("observational", CELL_NAMES)
-        assume_raw = section("assumptions", ("p_x_max", "p_xp_max", "p_y_max", "p_yp_max"))
-        conf_raw = section("confounder", ("u_max", "p_x", "p_y_given_x", "c"))
+        assume_raw = section("assumptions", Assumptions.__slots__)
+        conf_raw = section("confounder", ConfounderSpec.__slots__)
         experimental = ExperimentalDistribution(**exp_raw) if exp_raw else None
         observational = ObservationalDistribution(**obs_raw) if obs_raw else None
         assumptions = Assumptions(**assume_raw) if assume_raw else None
@@ -589,7 +565,7 @@ def require_atoms(
     values: dict[str, float] = {}
     missing: list[str] = []
     for atom in atoms:
-        if atom in ("p_y_do_x", "p_y_do_xp"):
+        if atom in ExperimentalDistribution.__slots__:
             v = getattr(exp, atom) if exp is not None else None
         elif atom in CELL_NAMES:
             v = obs.cell(atom) if obs is not None else None

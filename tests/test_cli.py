@@ -1,8 +1,10 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
-from epsident import ExperimentalDistribution, ObservationalDistribution, eps_identify_pns
+from epsident import ExperimentalDistribution, Interval, ObservationalDistribution, eps_identify_pns
 from epsident import bounds, cli, distributions, engine
 from epsident.cli import main
 from epsident.config import DEFAULT_TOLERANCE, set_tolerance
@@ -246,6 +248,75 @@ class TestVerify:
         assert by_name["confounder-sandwich"]["passed"]
         assert by_name["confounder-sandwich"]["details"].startswith("skipped")
 
+    def test_negative_trials_exits_2(self, write, capsys):
+        path = write("running.json", RUNNING)
+        assert main(["verify", path, "--trials", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err
+        assert captured.out == ""
+
+    def test_detects_widened_closed_form_bounds(self, write, capsys, monkeypatch):
+        original = bounds.tight_interval
+
+        def widened(evaluated):
+            tight = original(evaluated)
+            return Interval(tight.lo - 0.1, tight.hi + 0.1)
+
+        monkeypatch.setattr(bounds, "tight_interval", widened)
+        path = write("running.json", RUNNING)
+        assert main(["verify", path, "--trials", "3", "--json"]) == 5
+        by_name = {c["name"]: c for c in parse_json(capsys.readouterr().out)["checks"]}
+        assert not by_name["input-tightness"]["passed"]
+        assert not by_name["sampled-tightness"]["passed"]
+
+    def test_detects_shifted_certificates(self, write, capsys, monkeypatch):
+        _shift_certificates(monkeypatch)
+        path = write("running.json", RUNNING)
+        assert main(["verify", path, "--trials", "3", "--json"]) == 5
+        by_name = {c["name"]: c for c in parse_json(capsys.readouterr().out)["checks"]}
+        assert not by_name["input-eps-soundness"]["passed"]
+        assert not by_name["sampled-eps-soundness"]["passed"]
+        assert by_name["input-tightness"]["passed"]
+
+    def test_failing_sampled_checks_count_failures(self, write, capsys, monkeypatch):
+        _shift_certificates(monkeypatch)
+        original = bounds.identify_monotone
+
+        def shifted(exp, obs):
+            return dataclasses.replace(original(exp, obs), pns=2.0)
+
+        monkeypatch.setattr(bounds, "identify_monotone", shifted)
+        path = write("running.json", RUNNING)
+        assert main(["verify", path, "--trials", "3", "--json"]) == 5
+        by_name = {c["name"]: c for c in parse_json(capsys.readouterr().out)["checks"]}
+        assert re.fullmatch(
+            r"\d+ of \d+ fired identifications missed the oracle range",
+            by_name["sampled-eps-soundness"]["details"],
+        )
+        assert by_name["sampled-monotone"]["details"] == (
+            "3 of 3 defier-free joints miss the closed monotone formulas by more than 1e-9"
+        )
+
+        incompatible = distributions.CompatibilityReport(
+            [distributions.Violation("P(x,y) <= P(y_x)", 0.5, 0.4)], []
+        )
+        monkeypatch.setattr(cli, "check_compatibility", lambda exp, obs: incompatible)
+        assert main(["verify", path, "--trials", "3", "--json"]) == 5
+        by_name = {c["name"]: c for c in parse_json(capsys.readouterr().out)["checks"]}
+        assert by_name["sampled-compatibility"]["details"] == "3 of 3 induced pairs incompatible"
+
+
+def _shift_certificates(monkeypatch):
+    """Move every fired target certificate 0.5 off its center."""
+    original = engine.eps_identify
+
+    def shifted(*args, **kwargs):
+        report = original(*args, **kwargs)
+        fired = tuple(dataclasses.replace(ident, q=ident.q + 0.5) for ident in report.fired)
+        return dataclasses.replace(report, fired=fired)
+
+    monkeypatch.setattr(engine, "eps_identify", shifted)
+
 
 def _count_calls(monkeypatch, modules, name):
     """Wrap ``name`` in every module that binds it; returns the call list."""
@@ -277,6 +348,22 @@ class TestRepeatedWork:
         soundness = {c["name"]: c for c in report["checks"]}["input-eps-soundness"]
         assert soundness["passed"]
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("trials, ranges", [(0, 7), (10, 37)])
+    def test_verify_ranges_each_quantity_once(self, trials, ranges, write, capsys, monkeypatch):
+        # 3 targets and 4 fired effects on the input, then 3 targets per joint
+        path = write("running.json", RUNNING)
+        calls = _count_calls(monkeypatch, [cli.oracle_mod], "feasible_range")
+        assert main(["verify", path, "--trials", str(trials)]) == 0
+        assert len(calls) == ranges
+
+    def test_bounds_evaluates_each_target_once(self, write, capsys, monkeypatch):
+        path = write("running.json", RUNNING)
+        arguments = _count_calls(monkeypatch, [bounds], "bound_arguments")
+        compat = _count_calls(monkeypatch, [distributions, bounds, cli], "check_compatibility")
+        assert main(["bounds", path, "--json"]) == 0
+        assert [args[0] for args in arguments] == ["pns", "pn", "ps"]
+        assert len(compat) == 1
 
     def test_scan_checks_compatibility_once(self, monkeypatch):
         exp = ExperimentalDistribution(0.7, 0.3)
