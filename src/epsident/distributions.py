@@ -267,6 +267,8 @@ class ConfounderSpec:
     c: float | None = None
 
     def __post_init__(self) -> None:
+        if self.u_max is None:
+            raise InvalidDistribution("u_max is required")
         _check_probs(self, [name for name in self.__slots__ if name != "c"])
         if self.c is not None:
             c = float(self.c)

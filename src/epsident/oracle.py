@@ -15,16 +15,24 @@ known denominators), so their exact feasible ranges are linear programs over
 the polytope cut out of the simplex by the supplied data.
 
 The LP is solved by exact enumeration of basic feasible solutions of the
-equality system (at most C(n, rank) small linear solves), which avoids any
-dependence on iterative-solver tolerances: a vertex value is a ratio of
-small determinants of 0/1 matrices and float data, accurate to machine
-precision.  That exactness is what the bound-tightness tests lean on.
+equality system, which avoids any dependence on iterative-solver
+tolerances: a vertex value is a ratio of small determinants of 0/1 matrices
+and float data, accurate to machine precision.  That exactness is what the
+bound-tightness tests lean on.
+
+The constraint matrix depends only on which data atoms are present, not on
+their values.  So each atom pattern (at most 2**10 - 1 of them) is
+row-reduced once, together with the map that carries a right-hand side
+through the same row operations, and its nonsingular bases are listed once;
+both are cached.  A call then only checks the data against the dependent
+rows and solves every basis at once in one batched ``np.linalg.solve``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
@@ -84,6 +92,18 @@ _OBJECTIVES = {
     "pn": np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=float),
     "ps": np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=float),
 }
+
+# row reduction: a column whose largest remaining entry is at most this has no pivot
+_PIVOT_TOL = 1e-12
+# row reduction: entries at most this in a pivot column are left uneliminated
+_ELIM_TOL = 1e-15
+# largest residue of the data on a dependent row that still counts as consistent
+_CONSISTENCY_TOL = 1e-9
+# most negative basic-solution coordinate that still counts as nonnegative
+_NONNEG_TOL = 1e-9
+# largest equality residual of a candidate vertex against the full system
+_RESIDUAL_TOL = 1e-7
+
 
 class ResponseTypeJoint:
     """Joint distribution over (response type, observed treatment).
@@ -173,54 +193,48 @@ def sample_joint(seed: int, defier_free: bool = False) -> SampledScenario:
     return SampledScenario(joint, joint.experimental(), joint.observational())
 
 
-def _constraint_system(exp, obs, assumptions):
-    """Equality system over the 8 cells plus one slack per marginal bound."""
-    rows: list[np.ndarray] = [np.ones(_N)]
-    rhs: list[float] = [1.0]
-    slack_rows: list[np.ndarray] = []
-    n_atoms = 0
+def _atoms(exp, obs, assumptions) -> tuple[tuple[str, ...], list[float]]:
+    """Names and values of the supplied data atoms, in equality-row order:
+    experimental arms, observational cells, then asserted marginal bounds."""
+    names: list[str] = []
+    values: list[float] = []
     if exp is not None:
         for name in ("p_y_do_x", "p_y_do_xp"):
             v = getattr(exp, name)
             if v is not None:
-                rows.append(_ROWS[name])
-                rhs.append(v)
-                n_atoms += 1
+                names.append(name)
+                values.append(v)
     if obs is not None:
         for name in ("p_xy", "p_xyp", "p_xpy", "p_xpyp"):
             v = obs.cell(name)
             if v is not None:
-                rows.append(_ROWS[name])
-                rhs.append(v)
-                n_atoms += 1
+                names.append(name)
+                values.append(v)
     if assumptions is not None:
-        for name, row in _MARGINAL_ROWS.items():
+        for name in _MARGINAL_ROWS:
             v = getattr(assumptions, name)
             if v is not None:
-                slack_rows.append(row)
-                rhs.append(v)
-                n_atoms += 1
-    if n_atoms == 0:
+                names.append(name)
+                values.append(v)
+    if not names:
         raise MissingData(["any data atom"], "feasible range")
-    n_slack = len(slack_rows)
-    A = np.zeros((len(rows) + n_slack, _N + n_slack))
-    for i, row in enumerate(rows):
-        A[i, :_N] = row
-    for k, row in enumerate(slack_rows):
-        A[len(rows) + k, :_N] = row
-        A[len(rows) + k, _N + k] = 1.0
-    return A, np.array(rhs, dtype=float)
+    return tuple(names), values
 
 
-def _row_reduce(A: np.ndarray, b: np.ndarray):
-    """Gaussian elimination with partial pivoting; returns the independent
-    system or None when inconsistent."""
-    M = np.hstack([A, b[:, None]]).astype(float)
+def _row_reduce(A: np.ndarray):
+    """Gauss-Jordan elimination with partial pivoting on ``[A | I]``.
+
+    Pivots and eliminations look at A's columns only, so the identity block
+    records the row operations: returns the independent rows ``Ared``, the
+    map ``T`` with ``bred = T @ b`` and the rows ``N`` with ``N @ b`` the
+    residue that dependent rows leave of any right-hand side.
+    """
     n_rows, n_cols = A.shape
+    M = np.hstack([A, np.eye(n_rows)])
     r = 0
     for col in range(n_cols):
         piv = None
-        best = 1e-12
+        best = _PIVOT_TOL
         for i in range(r, n_rows):
             if abs(M[i, col]) > best:
                 best = abs(M[i, col])
@@ -230,16 +244,51 @@ def _row_reduce(A: np.ndarray, b: np.ndarray):
         M[[r, piv]] = M[[piv, r]]
         M[r] /= M[r, col]
         for i in range(n_rows):
-            if i != r and abs(M[i, col]) > 1e-15:
+            if i != r and abs(M[i, col]) > _ELIM_TOL:
                 M[i] -= M[i, col] * M[r]
         r += 1
         if r == n_rows:
             break
-    # dependent rows must be consistent within the data tolerance
-    for i in range(r, n_rows):
-        if abs(M[i, -1]) > 1e-9:
-            return None
-    return M[:r, :n_cols], M[:r, -1]
+    return M[:r, :n_cols], M[:r, n_cols:], M[r:, n_cols:]
+
+
+class _PatternSystem(NamedTuple):
+    """The part of the equality system fixed by which atoms are present."""
+
+    A: np.ndarray  # rows: sum-to-one, then one per atom; columns: 8 cells, then slacks
+    Ared: np.ndarray  # independent rows of the row-reduced A
+    T: np.ndarray  # bred = T @ b
+    N: np.ndarray  # data are consistent when |N @ b| <= _CONSISTENCY_TOL
+    bases: np.ndarray  # (k, rank) column sets with a nonsingular basis matrix
+
+
+# keyed by the present atom names, so at most 2**10 - 1 = 1023 entries
+@lru_cache(maxsize=None)
+def _pattern_system(names: tuple[str, ...]) -> _PatternSystem:
+    n_slack = sum(name in _MARGINAL_ROWS for name in names)
+    A = np.zeros((len(names) + 1, _N + n_slack))
+    A[0, :_N] = 1.0
+    slack = _N
+    for i, name in enumerate(names, start=1):
+        if name in _ROWS:
+            A[i, :_N] = _ROWS[name]
+        else:  # a marginal bound: row + slack = value
+            A[i, :_N] = _MARGINAL_ROWS[name]
+            A[i, slack] = 1.0
+            slack += 1
+    Ared, T, N = _row_reduce(A)
+    r, n = Ared.shape
+    bases = []
+    for cols in combinations(range(n), r):
+        try:
+            np.linalg.solve(Ared[:, cols], np.zeros(r))
+        except np.linalg.LinAlgError:
+            continue
+        bases.append(cols)
+    system = _PatternSystem(A, Ared, T, N, np.array(bases, dtype=np.intp).reshape(-1, r))
+    for arr in system:
+        arr.flags.writeable = False
+    return system
 
 
 def feasible_vertices(
@@ -253,29 +302,26 @@ def feasible_vertices(
     bounds are dropped).  Raises :class:`Infeasible` when no joint matches
     the supplied data.
     """
-    A, b = _constraint_system(exp, obs, assumptions)
-    reduced = _row_reduce(A, b)
-    if reduced is None:
+    names, values = _atoms(exp, obs, assumptions)
+    system = _pattern_system(names)
+    b = np.array([1.0, *values])
+    if system.N.size and np.abs(system.N @ b).max() > _CONSISTENCY_TOL:
         raise Infeasible("supplied data atoms are mutually inconsistent")
-    Ared, bred = reduced
-    r, n = Ared.shape
-    verts: list[np.ndarray] = []
-    for cols in combinations(range(n), r):
-        B = Ared[:, cols]
-        try:
-            sol = np.linalg.solve(B, bred)
-        except np.linalg.LinAlgError:
-            continue
-        if sol.min() < -1e-9:
-            continue
-        q = np.zeros(n)
-        q[list(cols)] = sol
-        if np.abs(A @ q - b).max() > 1e-7:
-            continue
-        verts.append(np.clip(q[:_N], 0.0, None))
-    if not verts:
+    bases = system.bases
+    k, n = len(bases), system.A.shape[1]
+    # B[j] = Ared[:, bases[j]]: one basis matrix per candidate column set
+    B = system.Ared[:, bases].transpose(1, 0, 2)
+    bred = system.T @ b
+    sol = np.linalg.solve(B, np.broadcast_to(bred[:, None], (k, len(bred), 1)))[..., 0]
+    Q = np.zeros((k, n))
+    np.put_along_axis(Q, bases, sol, axis=1)
+    # negated tests, so a NaN coordinate passes them as it did the per-basis loop
+    keep = ~(sol.min(axis=1) < -_NONNEG_TOL)
+    keep &= ~(np.abs(Q @ system.A.T - b).max(axis=1) > _RESIDUAL_TOL)
+    if not keep.any():
         raise Infeasible("no response-type joint matches the supplied data")
-    return np.unique(np.round(np.array(verts), 12), axis=0)
+    verts = np.clip(Q[keep, :_N], 0.0, None)
+    return np.unique(np.round(verts, 12), axis=0)
 
 
 def feasible_range(

@@ -268,6 +268,10 @@ class TestVerify:
         by_name = {c["name"]: c for c in parse_json(capsys.readouterr().out)["checks"]}
         assert not by_name["input-tightness"]["passed"]
         assert not by_name["sampled-tightness"]["passed"]
+        # three joints, each with pns, pn and ps ranged
+        assert by_name["sampled-tightness"]["details"] == (
+            "9 of 9 target ranges missed the oracle by more than 1e-06, worst 1.00e-01"
+        )
 
     def test_detects_shifted_certificates(self, write, capsys, monkeypatch):
         _shift_certificates(monkeypatch)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from epsident import (
     Assumptions,
+    ConfounderSpec,
     ExperimentalDistribution,
     InvalidDistribution,
     ObservationalDistribution,
@@ -80,6 +81,13 @@ class TestValidation:
         with pytest.raises(InvalidDistribution):
             Assumptions(p_y_max=1.5)
         assert Assumptions().is_empty
+
+    def test_confounder_requires_u_max(self):
+        with pytest.raises(InvalidDistribution, match="u_max is required"):
+            ConfounderSpec(None)
+        with pytest.raises(InvalidDistribution, match="u_max is required"):
+            ConfounderSpec(None, p_x=0.5, c=0.1)
+        assert ConfounderSpec(0.01).u_max == 0.01
 
 
 class TestCompatibility:

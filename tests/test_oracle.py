@@ -5,9 +5,12 @@ import pytest
 
 from epsident import (
     Assumptions,
+    BenefitVector,
+    EpsidentError,
     ExperimentalDistribution,
     Infeasible,
     InvalidDistribution,
+    MissingData,
     ObservationalDistribution,
     Unsupported,
     ZeroDenominator,
@@ -19,7 +22,8 @@ from epsident import (
     ps_bounds,
     sample_joint,
 )
-from epsident.oracle import ResponseTypeJoint
+from epsident import config
+from epsident.oracle import _MARGINAL_ROWS, _N, _ROWS, ResponseTypeJoint
 
 
 class TestResponseTypeJoint:
@@ -171,3 +175,207 @@ def test_grid_cross_check(running_exp, running_obs):
         tol = 2 * slack / den + 1e-9
         assert abs(glo - rng.lo) <= tol
         assert abs(ghi - rng.hi) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Reference enumeration: the per-basis loop the batched solve replaced, kept
+# here as the reference feasible_vertices must agree with
+# ---------------------------------------------------------------------------
+
+
+def _reference_system(exp, obs, assumptions):
+    rows, rhs, slack_rows = [np.ones(_N)], [1.0], []
+    if exp is not None:
+        for name in ("p_y_do_x", "p_y_do_xp"):
+            if getattr(exp, name) is not None:
+                rows.append(_ROWS[name])
+                rhs.append(getattr(exp, name))
+    if obs is not None:
+        for name in ("p_xy", "p_xyp", "p_xpy", "p_xpyp"):
+            if obs.cell(name) is not None:
+                rows.append(_ROWS[name])
+                rhs.append(obs.cell(name))
+    if assumptions is not None:
+        for name, row in _MARGINAL_ROWS.items():
+            if getattr(assumptions, name) is not None:
+                slack_rows.append(row)
+                rhs.append(getattr(assumptions, name))
+    if len(rhs) == 1:
+        raise MissingData(["any data atom"], "feasible range")
+    n_slack = len(slack_rows)
+    A = np.zeros((len(rows) + n_slack, _N + n_slack))
+    for i, row in enumerate(rows):
+        A[i, :_N] = row
+    for k, row in enumerate(slack_rows):
+        A[len(rows) + k, :_N] = row
+        A[len(rows) + k, _N + k] = 1.0
+    return A, np.array(rhs, dtype=float)
+
+
+def _reference_row_reduce(A, b):
+    M = np.hstack([A, b[:, None]]).astype(float)
+    n_rows, n_cols = A.shape
+    r = 0
+    for col in range(n_cols):
+        piv = None
+        best = 1e-12
+        for i in range(r, n_rows):
+            if abs(M[i, col]) > best:
+                best = abs(M[i, col])
+                piv = i
+        if piv is None:
+            continue
+        M[[r, piv]] = M[[piv, r]]
+        M[r] /= M[r, col]
+        for i in range(n_rows):
+            if i != r and abs(M[i, col]) > 1e-15:
+                M[i] -= M[i, col] * M[r]
+        r += 1
+        if r == n_rows:
+            break
+    for i in range(r, n_rows):
+        if abs(M[i, -1]) > 1e-9:
+            return None
+    return M[:r, :n_cols], M[:r, -1]
+
+
+def reference_vertices(exp=None, obs=None, assumptions=None):
+    """One np.linalg.solve per candidate basis, row-reducing on every call."""
+    A, b = _reference_system(exp, obs, assumptions)
+    reduced = _reference_row_reduce(A, b)
+    if reduced is None:
+        raise Infeasible("supplied data atoms are mutually inconsistent")
+    Ared, bred = reduced
+    r, n = Ared.shape
+    verts = []
+    for cols in itertools.combinations(range(n), r):
+        try:
+            sol = np.linalg.solve(Ared[:, cols], bred)
+        except np.linalg.LinAlgError:
+            continue
+        if sol.min() < -1e-9:
+            continue
+        q = np.zeros(n)
+        q[list(cols)] = sol
+        if np.abs(A @ q - b).max() > 1e-7:
+            continue
+        verts.append(np.clip(q[:_N], 0.0, None))
+    if not verts:
+        raise Infeasible("no response-type joint matches the supplied data")
+    return np.unique(np.round(np.array(verts), 12), axis=0)
+
+
+RANGE_TARGETS = ("pns", "pn", "ps", "y_x", "yp_x", "y_xp", "yp_xp", "benefit")
+OBS_CELLS = ("p_xy", "p_xyp", "p_xpy", "p_xpyp")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except EpsidentError as exc:
+        return type(exc), str(exc)
+
+
+def _random_case(rng, form):
+    """Data of one form drawn around a random response-type joint."""
+    joint = ResponseTypeJoint(rng.dirichlet(np.ones(8)).reshape(4, 2))
+    exp, obs = joint.experimental(), joint.observational()
+    arms = {"p_y_do_x": exp.p_y_do_x, "p_y_do_xp": exp.p_y_do_xp}
+    cells = {name: obs.cell(name) for name in OBS_CELLS}
+    q = joint.as_vector()
+    margins = {name: float(row @ q) for name, row in _MARGINAL_ROWS.items()}
+    bounds = {}
+    if form == "partial":
+        cells = {n: v for n, v in cells.items() if rng.random() < 0.5}
+        arms = {n: v for n, v in arms.items() if rng.random() < 0.7}
+    elif form == "one_arm":
+        cells = {}
+        del arms["p_y_do_xp" if rng.random() < 0.5 else "p_y_do_x"]
+    elif form == "bounded":
+        cells = {n: v for n, v in cells.items() if rng.random() < 0.4}
+        arms = {n: v for n, v in arms.items() if rng.random() < 0.8}
+        names = [n for n in _MARGINAL_ROWS if rng.random() < 0.5] or ["p_y_max"]
+        bounds = {n: min(1.0, margins[n] + rng.uniform(0.0, 0.3)) for n in names}
+    elif form == "perturbed":
+        arms = {n: float(np.clip(v + rng.normal(0, 0.02), 0, 1)) for n, v in arms.items()}
+        cells = {n: v for n, v in cells.items() if rng.random() < 0.7}
+        cells = {n: float(np.clip(v + rng.normal(0, 0.02), 0, 1)) for n, v in cells.items()}
+        cells.pop("p_xpyp", None)  # a perturbed full joint would not sum to one
+    elif form == "infeasible":
+        # a marginal bound below the joint's margin, with the cells that pin it
+        name = list(_MARGINAL_ROWS)[rng.integers(4)]
+        bounds = {name: margins[name] * rng.uniform(0.0, 0.9)}
+    while sum(cells.values()) > 1.0:
+        cells.popitem()
+    return (
+        ExperimentalDistribution(**arms) if arms else None,
+        ObservationalDistribution(**cells) if cells else None,
+        Assumptions(**bounds) if bounds else None,
+    )
+
+
+def _assert_same_vertices(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+def _assert_matches_reference(exp, obs, assume, payoffs):
+    want = _outcome(reference_vertices, exp, obs, assume)
+    got = _outcome(feasible_vertices, exp, obs, assume)
+    if isinstance(want, tuple):
+        assert got == want
+        return False
+    _assert_same_vertices(got, want)
+    for target in RANGE_TARGETS:
+        ref = _outcome(feasible_range, target, exp, obs, assume, payoffs=payoffs, vertices=want)
+        new = _outcome(feasible_range, target, exp, obs, assume, payoffs=payoffs)
+        if isinstance(ref, tuple):
+            assert new == ref
+        else:
+            assert abs(new.lo - ref.lo) <= 1e-12 and abs(new.hi - ref.hi) <= 1e-12
+    return True
+
+
+FORMS = ("full", "partial", "bounded", "one_arm", "perturbed", "infeasible")
+
+
+def test_batched_enumeration_matches_reference_loop():
+    rng = np.random.default_rng(20231)
+    feasible = {form: 0 for form in FORMS}
+    infeasible = {form: 0 for form in FORMS}
+    for k in range(2010):
+        form = FORMS[k % len(FORMS)]
+        payoffs = BenefitVector(*rng.uniform(-1.0, 1.0, 4))
+        ok = _assert_matches_reference(*_random_case(rng, form), payoffs)
+        (feasible if ok else infeasible)[form] += 1
+    # every form is exercised, and refusals come from both Infeasible messages
+    assert all(feasible[f] > 0 for f in ("full", "partial", "bounded", "one_arm", "perturbed"))
+    assert infeasible["perturbed"] > 0 and infeasible["infeasible"] > 0
+
+
+def test_refusals_match_reference_loop(monkeypatch):
+    # a joint off one by 1e-7 passes a loosened tolerance but not the
+    # oracle's consistency check on its dependent row
+    monkeypatch.setattr(config, "_tolerance", 1e-6)
+    inconsistent = (None, ObservationalDistribution(p_xy=0.4, p_xyp=0.1, p_xpy=0.2, p_xpyp=0.3 + 1e-7),
+                    None)
+    no_vertex = (ExperimentalDistribution(p_y_do_x=0.9, p_y_do_xp=0.9), None,
+                 Assumptions(p_y_max=0.1))
+    for case in (inconsistent, no_vertex, (None, None, None), (None, None, Assumptions())):
+        want = _outcome(reference_vertices, *case)
+        assert isinstance(want, tuple)
+        assert _outcome(feasible_vertices, *case) == want
+    assert _outcome(feasible_vertices, *inconsistent)[1] != _outcome(feasible_vertices, *no_vertex)[1]
+
+
+def test_shared_atom_pattern_gets_its_own_vertices():
+    # one atom pattern, two sets of values: the second call must not reuse the first's answer
+    first = (ExperimentalDistribution(p_y_do_x=0.7), ObservationalDistribution(p_xy=0.4),
+             Assumptions(p_xp_max=0.3))
+    second = (ExperimentalDistribution(p_y_do_x=0.5), ObservationalDistribution(p_xy=0.2),
+              Assumptions(p_xp_max=0.6))
+    a, b = feasible_vertices(*first), feasible_vertices(*second)
+    _assert_same_vertices(a, reference_vertices(*first))
+    _assert_same_vertices(b, reference_vertices(*second))
+    assert a.shape != b.shape or not np.allclose(a, b)
+    _assert_same_vertices(feasible_vertices(*first), a)
