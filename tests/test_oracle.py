@@ -291,6 +291,9 @@ def _random_case(rng, form):
     elif form == "one_arm":
         cells = {}
         del arms["p_y_do_xp" if rng.random() < 0.5 else "p_y_do_x"]
+        if rng.random() < 0.5:
+            name = list(_MARGINAL_ROWS)[rng.integers(4)]
+            bounds = {name: min(1.0, margins[name] + rng.uniform(0.0, 0.3))}
     elif form == "bounded":
         cells = {n: v for n, v in cells.items() if rng.random() < 0.4}
         arms = {n: v for n, v in arms.items() if rng.random() < 0.8}
@@ -348,7 +351,7 @@ def test_batched_enumeration_matches_reference_loop():
         payoffs = BenefitVector(*rng.uniform(-1.0, 1.0, 4))
         ok = _assert_matches_reference(*_random_case(rng, form), payoffs)
         (feasible if ok else infeasible)[form] += 1
-    # every form is exercised, and refusals come from both Infeasible messages
+    # every feasible form yields vertices, and the refusing forms are refused
     assert all(feasible[f] > 0 for f in ("full", "partial", "bounded", "one_arm", "perturbed"))
     assert infeasible["perturbed"] > 0 and infeasible["infeasible"] > 0
 
