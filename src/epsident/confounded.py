@@ -30,11 +30,10 @@ P(u) <= (4/13) * eps, and the center q = P(y|x) + eps/13.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import get_tolerance
-from .distributions import Condition, EpsIdentification
+from .distributions import Condition, EpsIdentification, check_eps, check_unit
 from .engine import NotIdentified
 from .errors import InvalidDistribution, NoFeasibleC
 from .interval import Interval
@@ -63,10 +62,7 @@ class ConfoundedEffectInput:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("p_y_given_x", "p_x", "u_max"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0) or not math.isfinite(v):
-                raise InvalidDistribution(f"{name} must be in [0,1], got {v!r}")
+        check_unit(p_y_given_x=self.p_y_given_x, p_x=self.p_x, u_max=self.u_max)
         if self.p_x <= 0.0:
             raise InvalidDistribution("p_x must be positive")
         if self.c is not None:
@@ -108,8 +104,7 @@ def eps_identify_effect_confounded(
     admissible one, c = p_x - u_max, which fires whenever any constant does;
     :class:`NoFeasibleC` is raised when it is not positive or does not fire.
     """
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise InvalidDistribution(f"eps must be positive, got {eps!r}")
+    check_eps(eps)
     tol = get_tolerance()
     c = inp.c
     if c is None:
@@ -135,11 +130,8 @@ def eps_identify_effect_confounded_simple(
 ) -> EpsIdentification | NotIdentified:
     """The coarse route: requires P(x) >= 1/2, fires when P(u) <= (4/13)*eps,
     and identifies P(y_x) to P(y|x) + eps/13."""
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise InvalidDistribution(f"eps must be positive, got {eps!r}")
-    for name, v in (("p_y_given_x", p_y_given_x), ("p_x", p_x), ("u_max", u_max)):
-        if not (0.0 <= v <= 1.0):
-            raise InvalidDistribution(f"{name} must be in [0,1], got {v!r}")
+    check_eps(eps)
+    check_unit(p_y_given_x=p_y_given_x, p_x=p_x, u_max=u_max)
     tol = get_tolerance()
     if p_x < 0.5 - tol:
         raise InvalidDistribution(f"the simple route requires P(x) >= 0.5, got {p_x!r}")
@@ -162,9 +154,7 @@ def effect_sandwich(p_y_given_x: float, p_x: float, p_u: float, c: float) -> Int
     Valid for any model on the confounder graph with the given P(x), P(y|x)
     and 0 < c <= P(x) - P(u); endpoints are not clamped to [0,1].
     """
-    for name, v in (("p_y_given_x", p_y_given_x), ("p_x", p_x), ("p_u", p_u)):
-        if not (0.0 <= v <= 1.0):
-            raise InvalidDistribution(f"{name} must be in [0,1], got {v!r}")
+    check_unit(p_y_given_x=p_y_given_x, p_x=p_x, p_u=p_u)
     if p_x <= 0.0:
         raise InvalidDistribution("p_x must be positive")
     if not (0.0 < c <= p_x - p_u + get_tolerance()):

@@ -92,6 +92,19 @@ def _check_prob(value: float | None, name: str) -> float | None:
     return min(max(v, 0.0), 1.0)
 
 
+def check_unit(**values: float) -> None:
+    """Reject the first named value outside [0,1]; the comparison also rejects NaN and inf."""
+    for name, v in values.items():
+        if not (0.0 <= v <= 1.0):
+            raise InvalidDistribution(f"{name} must be in [0,1], got {v!r}")
+
+
+def check_eps(eps: float) -> None:
+    """Reject a radius that is not a positive finite number."""
+    if not (0.0 < eps < math.inf):
+        raise InvalidDistribution(f"eps must be positive, got {eps!r}")
+
+
 def _check_probs(record, names) -> None:
     """Validate and clamp the named probability fields of a frozen record."""
     for name in names:

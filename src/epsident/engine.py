@@ -14,7 +14,6 @@ computable, are reported as not evaluated rather than silently dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import catalog
@@ -33,6 +32,8 @@ from .distributions import (
     EpsIdentification,
     ExperimentalDistribution,
     ObservationalDistribution,
+    check_eps,
+    check_unit,
 )
 from .errors import Incompatible, InvalidDistribution, MissingData, ZeroDenominator
 from .forms import QUANTITIES, QUANTITY_ATOMS, QUANTITY_LABELS
@@ -220,8 +221,7 @@ def eps_identify(
     """Scan every published near-point condition for one of
     :data:`catalog.TARGETS` at radius ``eps``."""
     target = catalog.target(quantity)
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise InvalidDistribution(f"eps must be positive, got {eps!r}")
+    check_eps(eps)
     ranges = QuantityRanges(exp, obs, assumptions)
     tol = get_tolerance()
 
@@ -344,11 +344,8 @@ def eps_identify_effect(
     """
     if variant not in EFFECTS:
         raise InvalidDistribution(f"unknown effect variant {variant!r}")
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise InvalidDistribution(f"eps must be positive, got {eps!r}")
-    for name, v in (("p_txy", p_txy), ("other_marginal_ub", other_marginal_ub)):
-        if not (0.0 <= v <= 1.0):
-            raise InvalidDistribution(f"{name} must be in [0,1], got {v!r}")
+    check_eps(eps)
+    check_unit(p_txy=p_txy, other_marginal_ub=other_marginal_ub)
     cell, marginal = EFFECTS[variant].cell, EFFECTS[variant].opposite_marginal
     condition = Condition(
         entry_id=f"effect-{variant}",

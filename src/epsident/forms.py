@@ -24,7 +24,7 @@ need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 EXP_ATOMS = ("p_y_do_x", "p_y_do_xp")
 CELL_ATOMS = ("p_xy", "p_xyp", "p_xpy", "p_xpyp")
@@ -77,25 +77,11 @@ QUANTITY_ATOMS: dict[str, tuple[str, ...]] = {
     "p_xpyp": ("p_xpyp",),
 }
 
-_QUANTITY_FROM_ATOMS: dict[str, Callable[[Mapping[str, float]], float]] = {
-    "p_y_do_x": lambda a: a["p_y_do_x"],
-    "p_y_do_xp": lambda a: a["p_y_do_xp"],
-    "p_yp_do_x": lambda a: 1.0 - a["p_y_do_x"],
-    "p_yp_do_xp": lambda a: 1.0 - a["p_y_do_xp"],
-    "p_x": lambda a: a["p_xy"] + a["p_xyp"],
-    "p_xp": lambda a: a["p_xpy"] + a["p_xpyp"],
-    "p_y": lambda a: a["p_xy"] + a["p_xpy"],
-    "p_yp": lambda a: a["p_xyp"] + a["p_xpyp"],
-    "p_xy": lambda a: a["p_xy"],
-    "p_xyp": lambda a: a["p_xyp"],
-    "p_xpy": lambda a: a["p_xpy"],
-    "p_xpyp": lambda a: a["p_xpyp"],
-}
-
-
 def quantity_from_atoms(name: str, atoms: Mapping[str, float]) -> float:
-    """Value of a named quantity given all its primitive atoms (KeyError if absent)."""
-    return _QUANTITY_FROM_ATOMS[name](atoms)
+    """Value of a named quantity given all its primitive atoms (KeyError if absent):
+    the sum of its atoms, or one minus that for a complement P(y'_t)."""
+    total = sum(atoms[atom] for atom in QUANTITY_ATOMS[name])
+    return 1.0 - total if name.startswith("p_yp_do_") else total
 
 
 _ETA = 1e-12  # coefficients are small integers; exact comparisons with slack

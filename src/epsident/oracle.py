@@ -26,11 +26,14 @@ row-reduced once, together with the map that carries a right-hand side
 through the same row operations, and its nonsingular bases are listed once;
 both are cached.  A call then only checks the data against the dependent
 rows and solves every basis at once in one batched ``np.linalg.solve``.
+
+The confounder graph U -> X, U -> Y, X -> Y has its own oracle,
+:func:`confounded_effect_range`: the exact range of P(y_x) in closed form,
+derived from the model's parameters alone (see its docstring).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -43,6 +46,8 @@ from .distributions import (
     Assumptions,
     ExperimentalDistribution,
     ObservationalDistribution,
+    _set_fields,
+    check_unit,
 )
 from .errors import Infeasible, InvalidDistribution, MissingData, Unsupported, ZeroDenominator
 from .interval import Interval
@@ -196,29 +201,13 @@ def sample_joint(seed: int, defier_free: bool = False) -> SampledScenario:
 def _atoms(exp, obs, assumptions) -> tuple[tuple[str, ...], list[float]]:
     """Names and values of the supplied data atoms, in equality-row order:
     experimental arms, observational cells, then asserted marginal bounds."""
-    names: list[str] = []
-    values: list[float] = []
-    if exp is not None:
-        for name in ("p_y_do_x", "p_y_do_xp"):
-            v = getattr(exp, name)
-            if v is not None:
-                names.append(name)
-                values.append(v)
-    if obs is not None:
-        for name in ("p_xy", "p_xyp", "p_xpy", "p_xpyp"):
-            v = obs.cell(name)
-            if v is not None:
-                names.append(name)
-                values.append(v)
-    if assumptions is not None:
-        for name in _MARGINAL_ROWS:
-            v = getattr(assumptions, name)
-            if v is not None:
-                names.append(name)
-                values.append(v)
-    if not names:
+    present: dict[str, float] = {}
+    for record in (exp, obs, assumptions):
+        if record is not None:
+            present.update(_set_fields(record))
+    if not present:
         raise MissingData(["any data atom"], "feasible range")
-    return tuple(names), values
+    return tuple(present), list(present.values())
 
 
 def _row_reduce(A: np.ndarray):
@@ -386,10 +375,7 @@ class ConfoundedScm:
     p_y_given_xpup: float
 
     def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0) or not math.isfinite(v):
-                raise InvalidDistribution(f"{name} must be in [0,1], got {v!r}")
+        check_unit(**{name: getattr(self, name) for name in self.__slots__})
 
     @property
     def p_x(self) -> float:
@@ -425,68 +411,55 @@ def confounded_effect_range(
     u_max: float,
     grid_step: float = 1e-3,
 ) -> Interval:
-    """Range of P(y_x) over confounder models matching P(x) and P(y|x).
+    """Exact range of P(y_x) over confounder models with P(x), P(y|x) and P(u) <= u_max.
 
-    Models are scanned on a grid over (P(u), P(x|u)); the remaining free
-    parameters are eliminated exactly: P(x|u') is solved from P(x), and
-    P(y_x) is affine in P(y|x,u) over its feasible interval, so only the
-    interval endpoints matter.  Raises :class:`Infeasible` when no grid model
-    matches.
+    ``grid_step`` is accepted for compatibility and ignored.
+
+    Write X = P(x), Y = P(y|x), p = P(u), m = P(x,u) and k = P(x,y,u).  A
+    model matches the data when m lies in [max(0, p - (1-X)), min(p, X)]
+    (P(x|u) and P(x|u') in [0,1]) and k in [max(0, m - X(1-Y)), min(m, XY)]
+    (P(y|x,u) and P(y|x,u') in [0,1]).  For 0 < m < X the effect is
+
+        P(y_x) = p * k/m + (1-p) * (XY - k)/(X - m).
+
+    It is affine in k, so its extremes over k lie at the two k endpoints.
+    On each endpoint branch it is monotone in m: with k = min(m, XY) it
+    falls, as p + (1-p)(XY-m)/(X-m) or pXY/m, and with k = max(0, m - X(1-Y))
+    it rises, as (1-p)XY/(X-m) or 1 - pX(1-Y)/m.  So its extremes over m lie
+    at the two m endpoints.  The two faces leave one conditional free:
+
+        m = 0 (needs p <= 1-X): P(y|x,u) free, P(y_x) in (1-p)Y + p*[0,1];
+        m = X (needs p >= X):   P(y|x,u') free, P(y_x) in pY + (1-p)*[0,1].
+
+    They hold the limits of the branches as m tends to 0 or X.  Each branch
+    at an m endpoint is, as a function of p, one of: constant (XY,
+    1-X(1-Y), 1-X+XY), 1 - X(1-Y)(1-p)/(X-p) (falling), (1-p)XY/(X-p)
+    (rising), pXY/(p-(1-X)) (falling) or 1 - pX(1-Y)/(p-(1-X)) (rising); the
+    faces are linear in p.  Which form applies changes only where p crosses
+    1-X or X (an m endpoint changes form) or where an m endpoint crosses XY
+    or X(1-Y) (a k endpoint changes form): p = XY, X(1-Y), 1-X+XY or
+    1-X+X(1-Y).  Between those breakpoints every candidate is monotone in
+    p, so the extremes lie at p = 0, p = u_max or a breakpoint inside
+    [0, u_max].  The matching (p, m, k) form a convex set, so every value
+    between the extremes is reached as well.
     """
-    if grid_step <= 0:
-        raise InvalidDistribution(f"grid_step must be positive, got {grid_step!r}")
-    for name, v in (("p_x", p_x), ("p_y_given_x", p_y_given_x), ("u_max", u_max)):
-        if not (0.0 <= v <= 1.0):
-            raise InvalidDistribution(f"{name} must be in [0,1], got {v!r}")
+    check_unit(p_x=p_x, p_y_given_x=p_y_given_x, u_max=u_max)
     if p_x <= get_tolerance():
         raise InvalidDistribution("p_x must be positive for P(y|x) to be defined")
-
-    def axis(stop: float) -> np.ndarray:
-        vals = np.arange(0.0, stop + grid_step / 2, grid_step)
-        if vals[-1] < stop - 1e-15:
-            vals = np.append(vals, stop)
-        return np.minimum(vals, stop)
-
-    pu = np.repeat(axis(u_max), len(axis(1.0)))
-    pxu = np.tile(axis(1.0), len(axis(u_max)))
-
-    tol = 1e-12
-    lo = math.inf
-    hi = -math.inf
-
-    # P(u) = 1 rows: P(x|u') unconstrained, P(u|x) = 1
-    full = pu >= 1.0 - tol
-    if np.any(full) and abs(p_x - pxu[full]).min() <= grid_step:
-        lo = min(lo, p_y_given_x)
-        hi = max(hi, p_y_given_x)
-
-    pu_, pxu_ = pu[~full], pxu[~full]
-    pxup = (p_x - pxu_ * pu_) / (1.0 - pu_)
-    ok = (pxup >= -tol) & (pxup <= 1.0 + tol)
-    pu_, pxu_ = pu_[ok], pxu_[ok]
-    if pu_.size:
-        w = pxu_ * pu_ / p_x  # P(u | x)
-        sat = w >= 1.0 - tol  # P(y|x,u) pinned to P(y|x); P(y|x,u') free
-        if np.any(sat):
-            vals_lo = p_y_given_x * pu_[sat]
-            vals_hi = vals_lo + (1.0 - pu_[sat])
-            lo = min(lo, float(vals_lo.min()))
-            hi = max(hi, float(vals_hi.max()))
-        pu_, w = pu_[~sat], w[~sat]
-        if pu_.size:
-            a_lo = np.zeros_like(w)
-            a_hi = np.ones_like(w)
-            pos = w > tol
-            a_lo[pos] = np.clip((p_y_given_x - 1.0 + w[pos]) / w[pos], 0.0, 1.0)
-            a_hi[pos] = np.clip(p_y_given_x / w[pos], 0.0, 1.0)
-            for a in (a_lo, a_hi):
-                vals = a * pu_ + (p_y_given_x - a * w) * (1.0 - pu_) / (1.0 - w)
-                lo = min(lo, float(vals.min()))
-                hi = max(hi, float(vals.max()))
-
-    if not math.isfinite(lo):
-        raise Infeasible("no grid model matches the supplied P(x) and P(y|x)")
-    return Interval(max(lo, 0.0), min(hi, 1.0))
+    X, Y = p_x, p_y_given_x
+    xy, xyp = X * Y, X * (1.0 - Y)
+    breaks = (1.0 - X, X, xy, xyp, 1.0 - X + xy, 1.0 - X + xyp)
+    values: list[float] = []
+    for p in (0.0, u_max, *(b for b in breaks if 0.0 < b < u_max)):
+        for m in (max(0.0, p - (1.0 - X)), min(p, X)):
+            if m <= 0.0:
+                values += ((1.0 - p) * Y, (1.0 - p) * Y + p)
+            elif m >= X:
+                values += (p * Y, p * Y + 1.0 - p)
+            else:
+                for k in (max(0.0, m - xyp), min(m, xy)):
+                    values.append(p * k / m + (1.0 - p) * (xy - k) / (X - m))
+    return Interval(max(min(values), 0.0), min(max(values), 1.0))
 
 
 def grid_scms(

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from epsident import (
     ConfoundedEffectInput,
     EpsIdentification,
+    Infeasible,
+    Interval,
     InvalidDistribution,
     NoFeasibleC,
     NotIdentified,
@@ -12,7 +16,80 @@ from epsident import (
     eps_identify_effect_confounded,
     eps_identify_effect_confounded_simple,
 )
-from epsident.oracle import grid_scms
+from epsident.config import get_tolerance
+from epsident.oracle import ConfoundedScm, grid_scms
+
+
+# The grid scan the oracle used before its closed form, kept verbatim as the
+# reference the closed form must contain and match.
+def grid_effect_range(
+    p_x: float,
+    p_y_given_x: float,
+    u_max: float,
+    grid_step: float = 1e-3,
+) -> Interval:
+    """Range of P(y_x) over confounder models matching P(x) and P(y|x).
+
+    Models are scanned on a grid over (P(u), P(x|u)); the remaining free
+    parameters are eliminated exactly: P(x|u') is solved from P(x), and
+    P(y_x) is affine in P(y|x,u) over its feasible interval, so only the
+    interval endpoints matter.  Raises :class:`Infeasible` when no grid model
+    matches.
+    """
+    if grid_step <= 0:
+        raise InvalidDistribution(f"grid_step must be positive, got {grid_step!r}")
+    for name, v in (("p_x", p_x), ("p_y_given_x", p_y_given_x), ("u_max", u_max)):
+        if not (0.0 <= v <= 1.0):
+            raise InvalidDistribution(f"{name} must be in [0,1], got {v!r}")
+    if p_x <= get_tolerance():
+        raise InvalidDistribution("p_x must be positive for P(y|x) to be defined")
+
+    def axis(stop: float) -> np.ndarray:
+        vals = np.arange(0.0, stop + grid_step / 2, grid_step)
+        if vals[-1] < stop - 1e-15:
+            vals = np.append(vals, stop)
+        return np.minimum(vals, stop)
+
+    pu = np.repeat(axis(u_max), len(axis(1.0)))
+    pxu = np.tile(axis(1.0), len(axis(u_max)))
+
+    tol = 1e-12
+    lo = math.inf
+    hi = -math.inf
+
+    # P(u) = 1 rows: P(x|u') unconstrained, P(u|x) = 1
+    full = pu >= 1.0 - tol
+    if np.any(full) and abs(p_x - pxu[full]).min() <= grid_step:
+        lo = min(lo, p_y_given_x)
+        hi = max(hi, p_y_given_x)
+
+    pu_, pxu_ = pu[~full], pxu[~full]
+    pxup = (p_x - pxu_ * pu_) / (1.0 - pu_)
+    ok = (pxup >= -tol) & (pxup <= 1.0 + tol)
+    pu_, pxu_ = pu_[ok], pxu_[ok]
+    if pu_.size:
+        w = pxu_ * pu_ / p_x  # P(u | x)
+        sat = w >= 1.0 - tol  # P(y|x,u) pinned to P(y|x); P(y|x,u') free
+        if np.any(sat):
+            vals_lo = p_y_given_x * pu_[sat]
+            vals_hi = vals_lo + (1.0 - pu_[sat])
+            lo = min(lo, float(vals_lo.min()))
+            hi = max(hi, float(vals_hi.max()))
+        pu_, w = pu_[~sat], w[~sat]
+        if pu_.size:
+            a_lo = np.zeros_like(w)
+            a_hi = np.ones_like(w)
+            pos = w > tol
+            a_lo[pos] = np.clip((p_y_given_x - 1.0 + w[pos]) / w[pos], 0.0, 1.0)
+            a_hi[pos] = np.clip(p_y_given_x / w[pos], 0.0, 1.0)
+            for a in (a_lo, a_hi):
+                vals = a * pu_ + (p_y_given_x - a * w) * (1.0 - pu_) / (1.0 - w)
+                lo = min(lo, float(vals.min()))
+                hi = max(hi, float(vals.max()))
+
+    if not math.isfinite(lo):
+        raise Infeasible("no grid model matches the supplied P(x) and P(y|x)")
+    return Interval(max(lo, 0.0), min(hi, 1.0))
 
 
 class TestGeneralRoute:
@@ -144,3 +221,44 @@ class TestModelRange:
             if scm.p_y_given_x is None or abs(scm.p_y_given_x - p_ygx) > 1e-9:
                 continue
             assert iv.lo - 1e-6 <= scm.p_y_do_x <= iv.hi + 1e-6
+
+    @pytest.mark.parametrize("p_y_given_x, witness", [(1.0, 0.3004), (0.0, 0.6996)])
+    def test_reaches_the_face_where_every_treated_unit_is_confounded(self, p_y_given_x, witness):
+        # P(x|u) = 1 and P(x|u') = 0: P(u) = P(x), so P(y|x,u') is free
+        scm = ConfoundedScm(0.3004, 1.0, 0.0, p_y_given_x, 1.0 - p_y_given_x, 0.0, 0.0)
+        assert scm.p_x == 0.3004 and scm.p_y_given_x == p_y_given_x
+        assert scm.p_y_do_x == pytest.approx(witness)
+        iv = confounded_effect_range(0.3004, p_y_given_x, u_max=0.5)
+        assert iv.contains(witness, tol=1e-12)
+
+    def test_contains_and_matches_the_grid(self):
+        rng = np.random.default_rng(2024)
+        n_below = 0
+        for i in range(200):
+            p_x = rng.uniform(0.02, 1.0)
+            p_ygx = (0.0, 1.0, 0.5, rng.uniform())[i % 4] if i % 3 == 0 else rng.uniform()
+            # the grid's cost grows with u_max; about a tenth of these bounds reach P(x)
+            u_max = rng.uniform(0.0, 0.2)
+            exact = confounded_effect_range(p_x, p_ygx, u_max)
+            grid = grid_effect_range(p_x, p_ygx, u_max, grid_step=1e-3)
+            assert exact.contains_interval(grid, tol=1e-12), (p_x, p_ygx, u_max)
+            if u_max < p_x:
+                n_below += 1
+                assert grid.lo - exact.lo <= 2e-3 and exact.hi - grid.hi <= 2e-3, (p_x, p_ygx, u_max)
+        assert 100 <= n_below <= 190
+
+    def test_contains_every_sampled_model(self):
+        rng = np.random.default_rng(7)
+        n_checked = 0
+        for i in range(3000):
+            params = rng.uniform(size=7)
+            # push conditionals onto 0/1 faces, where the range is attained
+            params[1:5] = np.where(rng.uniform(size=4) < 0.3, rng.integers(0, 2, 4), params[1:5])
+            scm = ConfoundedScm(*params)
+            if scm.p_x <= 1e-6:
+                continue
+            u_max = min(1.0, scm.p_u + rng.choice([0.0, rng.uniform(0.0, 0.3)]))
+            iv = confounded_effect_range(scm.p_x, scm.p_y_given_x, u_max)
+            assert iv.contains(scm.p_y_do_x, tol=1e-12), (scm, u_max)
+            n_checked += 1
+        assert n_checked > 2900
