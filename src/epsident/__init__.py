@@ -15,6 +15,8 @@ and verifies each emitted interval against an independent brute-force
 oracle over the response-type polytope.
 """
 
+from importlib import import_module as _import_module
+
 from .bounds import (
     EFFECT_LABELS,
     EFFECT_VARIANTS,
@@ -81,15 +83,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .interval import Interval
-from .oracle import (
-    ConfoundedScm,
-    ResponseTypeJoint,
-    SampledScenario,
-    confounded_effect_range,
-    feasible_range,
-    feasible_vertices,
-    sample_joint,
-)
 from .unitselect import (
     BenefitIdentification,
     BenefitVector,
@@ -99,4 +92,30 @@ from .unitselect import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The oracle, the only user of numpy besides CovariateJoint, is imported on
+# first access to one of its names (PEP 562), so that the closed forms and
+# the CLI commands built on them start without numpy.
+_ORACLE_EXPORTS = (
+    "ConfoundedScm",
+    "ResponseTypeJoint",
+    "SampledScenario",
+    "confounded_effect_range",
+    "feasible_range",
+    "feasible_vertices",
+    "sample_joint",
+)
+
+__all__ = [name for name in dir() if not name.startswith("_")] + ["oracle", *_ORACLE_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name == "oracle" or name in _ORACLE_EXPORTS:
+        # import_module, not ``from . import oracle``: the latter asks this
+        # hook for "oracle" again before the submodule is loaded
+        oracle = _import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "oracle", *_ORACLE_EXPORTS})

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from . import catalog
 from .config import get_tolerance
 from .distributions import (
@@ -229,13 +227,16 @@ class CovariateJoint:
     __slots__ = ("cells",)
 
     def __init__(self, cells) -> None:
+        import numpy as np  # here, not at module level: the closed forms need no numpy
+
         arr = np.asarray(cells, dtype=float)
         if arr.shape != (2, 2, 2):
             raise InvalidDistribution(f"covariate joint must have shape (2,2,2), got {arr.shape}")
         tol = get_tolerance()
-        if arr.min() < -tol:
+        # negated comparisons, so that a NaN or infinite cell fails them too
+        if not arr.min() >= -tol:
             raise InvalidDistribution("covariate joint cells must be non-negative")
-        if abs(arr.sum() - 1.0) > tol:
+        if not abs(arr.sum() - 1.0) <= tol:
             raise InvalidDistribution(f"covariate joint must sum to 1, got {arr.sum()!r}")
         self.cells = np.clip(arr, 0.0, None)
         self.cells.flags.writeable = False

@@ -25,7 +25,6 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import confounded as conf_mod
 from . import engine as engine_mod
-from . import oracle as oracle_mod
 from .catalog import TARGETS
 from .config import apply_env_tolerance, get_tolerance
 from .distributions import (
@@ -393,6 +392,7 @@ def _oracle_ranges(exp, obs, assume, vertices):
     first use: targets over the polytope ``vertices``, effects over the
     polytope without the experimental atoms; None where the oracle cannot
     range the quantity."""
+    from . import oracle as oracle_mod
 
     @functools.cache
     def effect_vertices():
@@ -462,6 +462,8 @@ def _eps_soundness(exp, obs, assume, oracle_range, effects: bool) -> tuple[int, 
 
 
 def cmd_verify(args) -> int:
+    from . import oracle as oracle_mod  # numpy: only verify pays for it
+
     data = _load_input(args.input, args.kind)
     checks: list[dict] = []
 

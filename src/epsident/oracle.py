@@ -124,9 +124,10 @@ class ResponseTypeJoint:
         if arr.shape != (4, 2):
             raise InvalidDistribution(f"response-type joint must be (4,2), got {arr.shape}")
         tol = get_tolerance()
-        if arr.min() < -tol:
+        # negated comparisons, so that a NaN or infinite cell fails them too
+        if not arr.min() >= -tol:
             raise InvalidDistribution("response-type joint cells must be non-negative")
-        if abs(arr.sum() - 1.0) > tol:
+        if not abs(arr.sum() - 1.0) <= tol:
             raise InvalidDistribution(f"response-type joint must sum to 1, got {arr.sum()!r}")
         self.cells = np.clip(arr, 0.0, None)
         self.cells.flags.writeable = False

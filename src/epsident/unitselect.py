@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 from .config import get_tolerance
 from .distributions import ExperimentalDistribution
 from .errors import InvalidDistribution, MissingData
-from .oracle import ResponseTypeJoint
+
+if TYPE_CHECKING:
+    from .oracle import ResponseTypeJoint
 
 __all__ = ["BenefitVector", "BenefitIdentification", "eps_identify_benefit", "benefit_true_value"]
 

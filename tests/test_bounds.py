@@ -6,6 +6,7 @@ from epsident import (
     EmptyStratum,
     ExperimentalDistribution,
     Incompatible,
+    InvalidDistribution,
     MissingData,
     MonotonicityRefuted,
     ObservationalDistribution,
@@ -135,6 +136,12 @@ def _random_covariate_joint(rng) -> CovariateJoint:
 
 
 class TestAdjustment:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_is_rejected(self, bad):
+        # the other cells sum to 1, so only the bad cell can fail the checks
+        with pytest.raises(InvalidDistribution):
+            CovariateJoint([[[bad, 0.25], [0.25, 0]], [[0.25, 0], [0.25, 0]]])
+
     def test_no_confounding_reduces_to_conditional(self):
         # X,Y joint independent of U: P(y|x,u) = P(y|x)
         xy = np.array([[0.3, 0.2], [0.1, 0.4]])

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from epsident import ExperimentalDistribution, Interval, ObservationalDistribution, eps_identify_pns
-from epsident import bounds, cli, distributions, engine
+from epsident import bounds, cli, distributions, engine, oracle
 from epsident.cli import main
 from epsident.config import DEFAULT_TOLERANCE, set_tolerance
 from epsident.report import parse_json, render_json
@@ -346,7 +346,7 @@ class TestRepeatedWork:
             "observational": {"p_xy": 0.03, "p_xyp": 0.02, "p_xpy": 0.45, "p_xpyp": 0.5},
         }
         path = write("effects.json", data)
-        calls = _count_calls(monkeypatch, [cli.oracle_mod], "feasible_vertices")
+        calls = _count_calls(monkeypatch, [oracle], "feasible_vertices")
         assert main(["verify", path, "--trials", "0", "--json"]) == 0
         report = parse_json(capsys.readouterr().out)
         soundness = {c["name"]: c for c in report["checks"]}["input-eps-soundness"]
@@ -357,7 +357,7 @@ class TestRepeatedWork:
     def test_verify_ranges_each_quantity_once(self, trials, ranges, write, capsys, monkeypatch):
         # 3 targets and 4 fired effects on the input, then 3 targets per joint
         path = write("running.json", RUNNING)
-        calls = _count_calls(monkeypatch, [cli.oracle_mod], "feasible_range")
+        calls = _count_calls(monkeypatch, [oracle], "feasible_range")
         assert main(["verify", path, "--trials", str(trials)]) == 0
         assert len(calls) == ranges
 

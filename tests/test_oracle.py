@@ -33,6 +33,12 @@ class TestResponseTypeJoint:
         with pytest.raises(InvalidDistribution):
             ResponseTypeJoint([[0.5, 0.6], [0, 0], [0, -0.1], [0, 0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_is_rejected(self, bad):
+        # the other cells sum to 1, so only the bad cell can fail the checks
+        with pytest.raises(InvalidDistribution):
+            ResponseTypeJoint([[bad, 0.25], [0.25, 0], [0.25, 0], [0.25, 0]])
+
     def test_forward_maps(self):
         joint = ResponseTypeJoint([[0.1, 0.2], [0.05, 0.15], [0.2, 0.1], [0.05, 0.15]])
         exp, obs = joint.experimental(), joint.observational()
