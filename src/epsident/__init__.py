@@ -34,6 +34,8 @@ from .bounds import (
 from .config import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
 from .confounded import (
     ConfoundedEffectInput,
+    ConfoundedScm,
+    confounded_effect_range,
     effect_sandwich,
     eps_identify_effect_confounded,
     eps_identify_effect_confounded_simple,
@@ -96,10 +98,8 @@ __version__ = "0.1.0"
 # first access to one of its names (PEP 562), so that the closed forms and
 # the CLI commands built on them start without numpy.
 _ORACLE_EXPORTS = (
-    "ConfoundedScm",
     "ResponseTypeJoint",
     "SampledScenario",
-    "confounded_effect_range",
     "feasible_range",
     "feasible_vertices",
     "sample_joint",

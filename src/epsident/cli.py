@@ -556,7 +556,7 @@ def cmd_verify(args) -> int:
         if c_top <= 0.0:
             add("confounder-sandwich", True, "skipped: u_max >= P(x) leaves no slack constant")
         else:
-            model_range = oracle_mod.confounded_effect_range(p_x, p_ygx, u_max)
+            model_range = conf_mod.confounded_effect_range(p_x, p_ygx, u_max)
             c_values = [c_top * k / 8 for k in range(1, 9)]
             bad = [
                 f"c={c:.4g}"

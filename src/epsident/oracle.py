@@ -29,25 +29,26 @@ rows and solves every basis at once in one batched ``np.linalg.solve``.
 
 The confounder graph U -> X, U -> Y, X -> Y has its own oracle,
 :func:`confounded_effect_range`: the exact range of P(y_x) in closed form,
-derived from the model's parameters alone (see its docstring).
+derived from the model's parameters alone (see its docstring).  It is pure
+float code, so it lives with :class:`ConfoundedScm` and :func:`grid_scms` in
+``confounded``, which loads without numpy; this module re-exports all three.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import get_tolerance
+from .confounded import ConfoundedScm, confounded_effect_range, grid_scms  # re-exported
 from .distributions import (
     Assumptions,
     ExperimentalDistribution,
     ObservationalDistribution,
     _set_fields,
-    check_unit,
 )
 from .errors import Infeasible, InvalidDistribution, MissingData, Unsupported, ZeroDenominator
 from .interval import Interval
@@ -356,130 +357,3 @@ def feasible_range(
         vertices = feasible_vertices(exp, obs, assumptions)
     values = vertices @ obj / den
     return Interval(float(values.min()), float(values.max()))
-
-
-# ---------------------------------------------------------------------------
-# The single-binary-confounder graph U -> X, U -> Y, X -> Y
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ConfoundedScm:
-    """Parameters of the confounder graph: P(u), P(x|u), and P(y|x,u)."""
-
-    p_u: float
-    p_x_given_u: float
-    p_x_given_up: float
-    p_y_given_xu: float
-    p_y_given_xup: float
-    p_y_given_xpu: float
-    p_y_given_xpup: float
-
-    def __post_init__(self) -> None:
-        check_unit(**{name: getattr(self, name) for name in self.__slots__})
-
-    @property
-    def p_x(self) -> float:
-        return self.p_x_given_u * self.p_u + self.p_x_given_up * (1.0 - self.p_u)
-
-    @property
-    def p_xy(self) -> float:
-        return (
-            self.p_y_given_xu * self.p_x_given_u * self.p_u
-            + self.p_y_given_xup * self.p_x_given_up * (1.0 - self.p_u)
-        )
-
-    @property
-    def p_y_given_x(self) -> float | None:
-        px = self.p_x
-        if px <= get_tolerance():
-            return None
-        return self.p_xy / px
-
-    @property
-    def p_y_do_x(self) -> float:
-        """Interventional effect by direct enumeration of the covariate."""
-        return self.p_y_given_xu * self.p_u + self.p_y_given_xup * (1.0 - self.p_u)
-
-    @property
-    def p_y_do_xp(self) -> float:
-        return self.p_y_given_xpu * self.p_u + self.p_y_given_xpup * (1.0 - self.p_u)
-
-
-def confounded_effect_range(
-    p_x: float,
-    p_y_given_x: float,
-    u_max: float,
-    grid_step: float = 1e-3,
-) -> Interval:
-    """Exact range of P(y_x) over confounder models with P(x), P(y|x) and P(u) <= u_max.
-
-    ``grid_step`` is accepted for compatibility and ignored.
-
-    Write X = P(x), Y = P(y|x), p = P(u), m = P(x,u) and k = P(x,y,u).  A
-    model matches the data when m lies in [max(0, p - (1-X)), min(p, X)]
-    (P(x|u) and P(x|u') in [0,1]) and k in [max(0, m - X(1-Y)), min(m, XY)]
-    (P(y|x,u) and P(y|x,u') in [0,1]).  For 0 < m < X the effect is
-
-        P(y_x) = p * k/m + (1-p) * (XY - k)/(X - m).
-
-    It is affine in k, so its extremes over k lie at the two k endpoints.
-    On each endpoint branch it is monotone in m: with k = min(m, XY) it
-    falls, as p + (1-p)(XY-m)/(X-m) or pXY/m, and with k = max(0, m - X(1-Y))
-    it rises, as (1-p)XY/(X-m) or 1 - pX(1-Y)/m.  So its extremes over m lie
-    at the two m endpoints.  The two faces leave one conditional free:
-
-        m = 0 (needs p <= 1-X): P(y|x,u) free, P(y_x) in (1-p)Y + p*[0,1];
-        m = X (needs p >= X):   P(y|x,u') free, P(y_x) in pY + (1-p)*[0,1].
-
-    They hold the limits of the branches as m tends to 0 or X.  Each branch
-    at an m endpoint is, as a function of p, one of: constant (XY,
-    1-X(1-Y), 1-X+XY), 1 - X(1-Y)(1-p)/(X-p) (falling), (1-p)XY/(X-p)
-    (rising), pXY/(p-(1-X)) (falling) or 1 - pX(1-Y)/(p-(1-X)) (rising); the
-    faces are linear in p.  Which form applies changes only where p crosses
-    1-X or X (an m endpoint changes form) or where an m endpoint crosses XY
-    or X(1-Y) (a k endpoint changes form): p = XY, X(1-Y), 1-X+XY or
-    1-X+X(1-Y).  Between those breakpoints every candidate is monotone in
-    p, so the extremes lie at p = 0, p = u_max or a breakpoint inside
-    [0, u_max].  The matching (p, m, k) form a convex set, so every value
-    between the extremes is reached as well.
-    """
-    check_unit(p_x=p_x, p_y_given_x=p_y_given_x, u_max=u_max)
-    if p_x <= get_tolerance():
-        raise InvalidDistribution("p_x must be positive for P(y|x) to be defined")
-    X, Y = p_x, p_y_given_x
-    xy, xyp = X * Y, X * (1.0 - Y)
-    breaks = (1.0 - X, X, xy, xyp, 1.0 - X + xy, 1.0 - X + xyp)
-    values: list[float] = []
-    for p in (0.0, u_max, *(b for b in breaks if 0.0 < b < u_max)):
-        for m in (max(0.0, p - (1.0 - X)), min(p, X)):
-            if m <= 0.0:
-                values += ((1.0 - p) * Y, (1.0 - p) * Y + p)
-            elif m >= X:
-                values += (p * Y, p * Y + 1.0 - p)
-            else:
-                for k in (max(0.0, m - xyp), min(m, xy)):
-                    values.append(p * k / m + (1.0 - p) * (xy - k) / (X - m))
-    return Interval(max(min(values), 0.0), min(max(values), 1.0))
-
-
-def grid_scms(
-    u_values,
-    x_values,
-    y_values,
-) -> Iterator[ConfoundedScm]:
-    """Enumerate confounder models on a parameter grid (for sweep checks)."""
-    for p_u in u_values:
-        for p_x_given_u in x_values:
-            for p_x_given_up in x_values:
-                for p_y_given_xu in y_values:
-                    for p_y_given_xup in y_values:
-                        yield ConfoundedScm(
-                            p_u=float(p_u),
-                            p_x_given_u=float(p_x_given_u),
-                            p_x_given_up=float(p_x_given_up),
-                            p_y_given_xu=float(p_y_given_xu),
-                            p_y_given_xup=float(p_y_given_xup),
-                            p_y_given_xpu=0.0,
-                            p_y_given_xpup=0.0,
-                        )

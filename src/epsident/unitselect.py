@@ -97,7 +97,8 @@ def eps_identify_benefit(
     ``exp_c`` holds P(y_x|c) and P(y_{x'}|c); both arms are required.  The
     radius is |beta - gamma - theta + delta| / 2 regardless of the data, so
     the sign of the benefit is often decidable before any observational
-    study.
+    study.  Payoffs so large that q, eps or the certified range overflow a
+    float raise :class:`InvalidDistribution`.
     """
     if exp_c.p_y_do_x is None or exp_c.p_y_do_xp is None:
         missing = [n for n in ("p_y_do_x", "p_y_do_xp") if getattr(exp_c, n) is None]
@@ -110,6 +111,13 @@ def eps_identify_benefit(
         + residual / 2.0
     )
     eps = abs(residual) / 2.0
+    # finite payoffs can still overflow, e.g. beta = delta = 1e308; an inf or
+    # nan in q, eps or the residual makes an end of the range non-finite too
+    if not (math.isfinite(q - eps) and math.isfinite(q + eps)):
+        raise InvalidDistribution(
+            f"the benefit overflows a float with these payoffs: q = {q!r}, eps = {eps!r}, "
+            f"gain residual = {residual!r}, certified range [{q - eps!r}, {q + eps!r}]"
+        )
     tol = get_tolerance()
     if q - eps > tol:
         sign: Sign = "positive"

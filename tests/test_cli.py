@@ -199,6 +199,15 @@ class TestUnitSelect:
         path = write("partial.json", {"experimental": {"p_y_do_x": 0.6}})
         assert main(["unit-select", path, "--payoffs", "1", "2", "3", "4"]) == 2
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_overflowing_payoffs_exit_2(self, fmt, write, capsys):
+        # finite payoffs whose benefit overflows a float: refused, not printed as inf/nan
+        path = write("running.json", RUNNING)
+        assert main(["unit-select", path, "--payoffs", "1e308", "0", "0", "1e308", *fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the benefit overflows a float" in captured.err
+
 
 class TestVerify:
     def test_running_passes(self, write, capsys):

@@ -17,8 +17,7 @@ RUNNING = {
     "observational": {"p_xy": 0.4, "p_xyp": 0.1, "p_xpy": 0.2, "p_xpyp": 0.3},
 }
 ORACLE_NAMES = {
-    "ConfoundedScm", "ResponseTypeJoint", "SampledScenario", "confounded_effect_range",
-    "feasible_range", "feasible_vertices", "sample_joint",
+    "ResponseTypeJoint", "SampledScenario", "feasible_range", "feasible_vertices", "sample_joint",
 }
 PUBLIC_NAMES = [
     "Assumptions", "BenefitIdentification", "BenefitVector", "CompatibilityReport", "Condition",
@@ -95,6 +94,9 @@ class TestNumpyStaysUnloaded:
     def test_closed_form_library_calls(self):
         assert not loads_numpy(LIBRARY_CALLS)
 
+    def test_confounder_model_range(self):
+        assert not loads_numpy("import epsident\nepsident.confounded_effect_range(0.5, 0.6, 0.01)")
+
     # the controls: the guard above would pass vacuously if nothing loaded numpy
 
     def test_verify_loads_numpy(self, running_path):
@@ -127,6 +129,12 @@ class TestPublicApi:
         assert epsident.oracle is sys.modules["epsident.oracle"]
         for name in ORACLE_NAMES:
             assert getattr(epsident, name) is getattr(epsident.oracle, name)
+
+    def test_oracle_re_exports_the_confounder_models(self):
+        import epsident.oracle
+
+        for name in ("ConfoundedScm", "confounded_effect_range", "grid_scms"):
+            assert getattr(epsident.oracle, name) is getattr(epsident.confounded, name)
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match=r"^module 'epsident' has no attribute 'nope'$"):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from epsident import (
     BenefitVector,
     ExperimentalDistribution,
+    InvalidDistribution,
     MissingData,
     benefit_true_value,
     eps_identify_benefit,
@@ -12,6 +13,7 @@ from epsident import (
     sample_joint,
 )
 from epsident.oracle import ResponseTypeJoint
+from epsident.report import render_json
 
 payoff = st.floats(min_value=-500, max_value=500, allow_nan=False)
 
@@ -53,6 +55,25 @@ class TestBenefitIdentification:
     def test_needs_both_arms(self):
         with pytest.raises(MissingData):
             eps_identify_benefit(BenefitVector(1, 2, 3, 4), ExperimentalDistribution(0.5))
+
+    @pytest.mark.parametrize("payoffs, arms", [
+        ((1e308, 0, 0, 1e308), (0.7, 0.3)),  # the gain residual overflows to inf
+        ((0, 1e308, 0, -1e308), (0.7, 0.3)),  # gamma - delta overflows, and the residual with it
+        ((8e307, 0, 0, 8e307), (0.0, 1.0)),  # q, eps and the residual are finite, q + eps is not
+    ])
+    def test_overflowing_payoffs_are_refused(self, payoffs, arms):
+        with pytest.raises(InvalidDistribution, match="overflows a float"):
+            eps_identify_benefit(BenefitVector(*payoffs), ExperimentalDistribution(*arms))
+
+    @given(payoffs=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+           arms=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_finite_payoffs_give_a_renderable_result_or_a_refusal(self, payoffs, arms):
+        try:
+            result = eps_identify_benefit(BenefitVector(*payoffs), ExperimentalDistribution(*arms))
+        except InvalidDistribution:
+            return
+        render_json(result.to_json_dict())  # raises ValueError on a non-finite number
 
 
 class TestTrueValue:
