@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     ZeroArm,
 )
-from .forms import QUANTITY_LABELS
+from .forms import QUANTITY_ATOMS, QUANTITY_LABELS
 from .interval import Interval
 
 __all__ = [
@@ -142,6 +142,17 @@ class ExperimentalDistribution:
         return _set_fields(self)
 
 
+def _marginal(name: str) -> property:
+    """A read-only marginal: the sum of its two cells, None unless both are set."""
+    a, b = QUANTITY_ATOMS[name]
+
+    def value(self) -> float | None:
+        va, vb = getattr(self, a), getattr(self, b)
+        return None if va is None or vb is None else va + vb
+
+    return property(value)
+
+
 @dataclass(frozen=True, slots=True)
 class ObservationalDistribution:
     """Joint P(X,Y) cells; each cell optional, present cells must fit in one unit of mass."""
@@ -169,27 +180,10 @@ class ObservationalDistribution:
     def is_complete(self) -> bool:
         return all(getattr(self, n) is not None for n in CELL_NAMES)
 
-    def _pair_sum(self, a: str, b: str) -> float | None:
-        va, vb = getattr(self, a), getattr(self, b)
-        if va is None or vb is None:
-            return None
-        return va + vb
-
-    @property
-    def p_x(self) -> float | None:
-        return self._pair_sum("p_xy", "p_xyp")
-
-    @property
-    def p_xp(self) -> float | None:
-        return self._pair_sum("p_xpy", "p_xpyp")
-
-    @property
-    def p_y(self) -> float | None:
-        return self._pair_sum("p_xy", "p_xpy")
-
-    @property
-    def p_yp(self) -> float | None:
-        return self._pair_sum("p_xyp", "p_xpyp")
+    p_x = _marginal("p_x")
+    p_xp = _marginal("p_xp")
+    p_y = _marginal("p_y")
+    p_yp = _marginal("p_yp")
 
     @property
     def p_y_given_x(self) -> float | None:
@@ -528,18 +522,22 @@ _CSV_OUTCOMES = {"positive", "negative"}
 def parse_counts_csv(text: str, kind: Literal["experimental", "observational"]) -> StudyCounts:
     """Parse the ``arm,outcome,count`` counts format.
 
-    ``arm`` is treated|untreated and ``outcome`` is positive|negative; an
-    optional header row is skipped; repeated (arm, outcome) rows accumulate.
+    ``arm`` is treated|untreated and ``outcome`` is positive|negative; blank
+    rows are skipped, and so is the first non-blank row when it is the
+    optional header; repeated (arm, outcome) rows accumulate.
     """
     totals = {(a, o): 0 for a in _CSV_ARMS for o in _CSV_OUTCOMES}
     seen_any = False
+    header_allowed = True
     reader = csv.reader(io.StringIO(text))
     for i, row in enumerate(reader):
         if not row or all(not f.strip() for f in row):
             continue
         fields = [f.strip().lower() for f in row]
-        if i == 0 and fields[:3] == ["arm", "outcome", "count"]:
-            continue
+        if header_allowed:
+            header_allowed = False
+            if fields[:3] == ["arm", "outcome", "count"]:
+                continue
         if len(fields) != 3:
             raise ParseError(f"row {i + 1}: expected arm,outcome,count, got {row!r}")
         arm, outcome, count_raw = fields
@@ -569,27 +567,21 @@ def parse_counts_csv(text: str, kind: Literal["experimental", "observational"]) 
         raise ParseError(str(exc)) from exc
 
 
+def present_atoms(*records) -> dict[str, float]:
+    """The set fields of the given records, merged in argument order; None is skipped."""
+    return {k: v for record in records if record is not None for k, v in _set_fields(record).items()}
+
+
 def require_atoms(
     exp: ExperimentalDistribution | None,
     obs: ObservationalDistribution | None,
     atoms: tuple[str, ...],
     context: str,
 ) -> dict[str, float]:
-    """Collect required atom values, raising :class:`MissingData` with the
-    names of every absent atom."""
-    values: dict[str, float] = {}
-    missing: list[str] = []
-    for atom in atoms:
-        if atom in ExperimentalDistribution.__slots__:
-            v = getattr(exp, atom) if exp is not None else None
-        elif atom in CELL_NAMES:
-            v = obs.cell(atom) if obs is not None else None
-        else:  # pragma: no cover - internal contract
-            raise KeyError(atom)
-        if v is None:
-            missing.append(atom)
-        else:
-            values[atom] = v
+    """Collect required atom values in request order, raising
+    :class:`MissingData` with the names of every absent atom."""
+    present = present_atoms(exp, obs)
+    missing = [atom for atom in atoms if atom not in present]
     if missing:
         raise MissingData(missing, context)
-    return values
+    return {atom: present[atom] for atom in atoms}

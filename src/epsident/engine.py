@@ -379,6 +379,7 @@ def eps_identify_effects(
     else from an asserted assumption; variants lacking either the cell or any
     marginal bound are skipped with the missing quantity names.
     """
+    check_eps(eps)
     ranges = QuantityRanges(None, obs, assumptions)
     results: dict[str, EpsIdentification | NotIdentified] = {}
     skipped: dict[str, tuple[str, ...]] = {}

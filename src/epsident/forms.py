@@ -84,9 +84,6 @@ def quantity_from_atoms(name: str, atoms: Mapping[str, float]) -> float:
     return 1.0 - total if name.startswith("p_yp_do_") else total
 
 
-_ETA = 1e-12  # coefficients are small integers; exact comparisons with slack
-
-
 @dataclass(frozen=True, slots=True)
 class LinearForm:
     """const + sum(coef * atom) over the six primitive atoms."""
@@ -120,9 +117,6 @@ class LinearForm:
             tuple(a - b for a, b in zip(self.coefs, other.coefs)),
         )
 
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(-self.const, tuple(-a for a in self.coefs))
-
 
 def _mode_shift(cell_coefs: list[float]) -> float:
     """Shift that zeroes the most cell coefficients; ties prefer no shift."""
@@ -131,7 +125,7 @@ def _mode_shift(cell_coefs: list[float]) -> float:
         counts[c] = counts.get(c, 0) + 1
     best = max(counts.values())
     candidates = sorted(v for v, n in counts.items() if n == best)
-    if any(abs(v) <= _ETA for v in candidates):
+    if 0.0 in candidates:
         return 0.0
     return min(candidates, key=lambda v: (abs(v), v))
 
@@ -142,9 +136,6 @@ class GroupedExpr:
 
     terms: tuple[tuple[float, str], ...]
     label: str
-
-    def quantities(self) -> tuple[str, ...]:
-        return tuple(name for _, name in self.terms)
 
     def atoms(self) -> tuple[str, ...]:
         seen: list[str] = []
@@ -169,7 +160,7 @@ def _render(terms: tuple[tuple[float, str], ...]) -> str:
     for coef, name in terms:
         mag = abs(coef)
         body = QUANTITY_LABELS[name]
-        if abs(mag - 1.0) > _ETA:
+        if mag != 1.0:
             body = f"{mag:g}*{body}"
         if not parts:
             parts.append(body if coef > 0 else f"-{body}")
@@ -181,20 +172,21 @@ def _render(terms: tuple[tuple[float, str], ...]) -> str:
 def group(form: LinearForm) -> GroupedExpr:
     """Normalize a linear form into a signed sum of named quantities.
 
-    Raises ValueError when a nonzero constant survives every folding rule;
-    the catalog arguments never trigger that.
+    Coefficients, constants and shifts are small integers held exactly in
+    floats, so every comparison is exact.  Raises ValueError when a nonzero
+    constant survives every folding rule; the catalog arguments never do.
     """
     coefs = dict(zip(ATOMS, form.coefs))
     const = form.const
 
     # 1. reduce cells modulo sum(cells) = 1
     shift = _mode_shift([coefs[c] for c in CELL_ATOMS])
-    if abs(shift) > _ETA:
+    if shift:
         for c in CELL_ATOMS:
             coefs[c] -= shift
         const += shift
 
-    terms: dict[str, float] = {}
+    terms = {name: coefs.pop(name) for name in EXP_ATOMS}
 
     # 2. equal-coefficient cell pairs become marginals
     for pair, marginal in (
@@ -204,43 +196,30 @@ def group(form: LinearForm) -> GroupedExpr:
         (("p_xpy", "p_xpyp"), "p_xp"),
     ):
         a, b = pair
-        if abs(coefs[a]) > _ETA and abs(coefs[a] - coefs[b]) <= _ETA:
+        if coefs[a] and coefs[a] == coefs[b]:
             terms[marginal] = terms.get(marginal, 0.0) + coefs[a]
             coefs[a] = coefs[b] = 0.0
 
-    # 3. fold +-1 constants into complements of experimental quantities
-    for name, comp in (("p_y_do_xp", "p_yp_do_xp"), ("p_y_do_x", "p_yp_do_x")):
-        if const >= 1.0 - _ETA and abs(coefs[name] + 1.0) <= _ETA:
-            terms[comp] = terms.get(comp, 0.0) + 1.0
-            const -= 1.0
-            coefs[name] = 0.0
-        elif const <= -1.0 + _ETA and abs(coefs[name] - 1.0) <= _ETA:
-            terms[comp] = terms.get(comp, 0.0) - 1.0
-            const += 1.0
-            coefs[name] = 0.0
-
-    # 4. fold +-1 constants into complements of marginals
-    for name, comp in (("p_y", "p_yp"), ("p_yp", "p_y"), ("p_x", "p_xp"), ("p_xp", "p_x")):
+    # 3. fold a constant of sign opposite to a +-1 term into its complement:
+    #    1 - q = comp(q), and -1 + q = -comp(q)
+    for name, comp in (
+        ("p_y_do_xp", "p_yp_do_xp"), ("p_y_do_x", "p_yp_do_x"),
+        ("p_y", "p_yp"), ("p_yp", "p_y"), ("p_x", "p_xp"), ("p_xp", "p_x"),
+    ):
         have = terms.get(name, 0.0)
-        if const >= 1.0 - _ETA and abs(have + 1.0) <= _ETA:
-            terms[comp] = terms.get(comp, 0.0) + 1.0
-            const -= 1.0
-            del terms[name]
-        elif const <= -1.0 + _ETA and abs(have - 1.0) <= _ETA:
-            terms[comp] = terms.get(comp, 0.0) - 1.0
-            const += 1.0
+        if have in (1.0, -1.0) and have * const <= -1.0:
+            terms[comp] = terms.get(comp, 0.0) - have
+            const += have
             del terms[name]
 
-    for name, coef in coefs.items():
-        if abs(coef) > _ETA:
-            terms[name] = terms.get(name, 0.0) + coef
+    terms.update(coefs)  # the cells left over; zero terms are dropped below
 
-    if abs(const) > _ETA:
+    if const:
         raise ValueError(f"cannot express residual constant {const} as named quantities")
 
     ordered = tuple(
         sorted(
-            ((c, n) for n, c in terms.items() if abs(c) > _ETA),
+            ((c, n) for n, c in terms.items() if c),
             key=lambda t: (t[0] < 0, QUANTITIES.index(t[1])),
         )
     )

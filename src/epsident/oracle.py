@@ -48,7 +48,7 @@ from .distributions import (
     Assumptions,
     ExperimentalDistribution,
     ObservationalDistribution,
-    _set_fields,
+    present_atoms,
 )
 from .errors import Infeasible, InvalidDistribution, MissingData, Unsupported, ZeroDenominator
 from .interval import Interval
@@ -203,10 +203,7 @@ def sample_joint(seed: int, defier_free: bool = False) -> SampledScenario:
 def _atoms(exp, obs, assumptions) -> tuple[tuple[str, ...], list[float]]:
     """Names and values of the supplied data atoms, in equality-row order:
     experimental arms, observational cells, then asserted marginal bounds."""
-    present: dict[str, float] = {}
-    for record in (exp, obs, assumptions):
-        if record is not None:
-            present.update(_set_fields(record))
+    present = present_atoms(exp, obs, assumptions)
     if not present:
         raise MissingData(["any data atom"], "feasible range")
     return tuple(present), list(present.values())

@@ -32,7 +32,8 @@ def _canon_float(v: float) -> float:
 
 
 def canonicalize(obj):
-    """Recursively normalize a report value for stable rendering."""
+    """Recursively normalize a report value: the reference normaliser the tests
+    render against with ``json.dumps``; :func:`render_json` does not call it."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (str, int)):
         return obj
     if isinstance(obj, float):

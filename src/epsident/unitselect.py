@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
 from .config import get_tolerance
-from .distributions import ExperimentalDistribution
-from .errors import InvalidDistribution, MissingData
+from .distributions import ExperimentalDistribution, require_atoms
+from .errors import InvalidDistribution
 
 if TYPE_CHECKING:
     from .oracle import ResponseTypeJoint
@@ -100,9 +100,7 @@ def eps_identify_benefit(
     study.  Payoffs so large that q, eps or the certified range overflow a
     float raise :class:`InvalidDistribution`.
     """
-    if exp_c.p_y_do_x is None or exp_c.p_y_do_xp is None:
-        missing = [n for n in ("p_y_do_x", "p_y_do_xp") if getattr(exp_c, n) is None]
-        raise MissingData(missing, "benefit identification")
+    require_atoms(exp_c, None, ("p_y_do_x", "p_y_do_xp"), "benefit identification")
     residual = payoffs.gain_residual
     q = (
         (payoffs.gamma - payoffs.delta) * exp_c.p_y_do_x

@@ -11,7 +11,7 @@ oracle containment suite validates.
 
 import pytest
 
-from epsident.catalog import CATALOGS, PN_CATALOG, PNS_CATALOG, PS_CATALOG
+from epsident.catalog import CATALOGS, PN_CATALOG, PNS_CATALOG, PS_CATALOG, TARGETS
 
 # (center, premise) rows in the published order
 PNS_TABLE = [
@@ -53,6 +53,36 @@ PS_TABLE = [
     ("(P(y_x) - P(x,y)) / P(x',y') - eps", "P(x',y) <= 2*eps*P(x',y')"),
     ("(P(y') - P(y'_x)) / P(x',y') + eps", "P(x',y) <= 2*eps*P(x',y')"),
 ]
+
+# (target, name, side, label) of every bound argument, in definition order;
+# the labels reach `bounds --json` as each argument's "label"
+ARGUMENT_TABLE = [
+    ("pns", "L1", "lower", "0"),
+    ("pns", "L2", "lower", "P(y_x) - P(y_{x'})"),
+    ("pns", "L3", "lower", "P(y) - P(y_{x'})"),
+    ("pns", "L4", "lower", "P(y_x) - P(y)"),
+    ("pns", "U1", "upper", "P(y_x)"),
+    ("pns", "U2", "upper", "P(y'_{x'})"),
+    ("pns", "U3", "upper", "P(x,y) + P(x',y')"),
+    ("pns", "U4", "upper", "P(y_x) + P(x,y') + P(x',y) - P(y_{x'})"),
+    ("pn", "N1", "lower", "0"),
+    ("pn", "N2", "lower", "(P(y) - P(y_{x'})) / P(x,y)"),
+    ("pn", "M1", "upper", "1"),
+    ("pn", "M2", "upper", "(P(y'_{x'}) - P(x',y')) / P(x,y)"),
+    ("ps", "S1", "lower", "0"),
+    ("ps", "S2", "lower", "(P(y') - P(y'_x)) / P(x',y')"),
+    ("ps", "T1", "upper", "1"),
+    ("ps", "T2", "upper", "(P(y_x) - P(x,y)) / P(x',y')"),
+]
+
+
+def test_bound_arguments_match_table():
+    rows = [
+        (name, arg.name, arg.side, arg.label)
+        for name, t in TARGETS.items()
+        for arg in t.lower + t.upper
+    ]
+    assert rows == ARGUMENT_TABLE
 
 
 @pytest.mark.parametrize(

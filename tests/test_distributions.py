@@ -7,6 +7,7 @@ from epsident import (
     ConfounderSpec,
     ExperimentalDistribution,
     InvalidDistribution,
+    MissingData,
     ObservationalDistribution,
     ParseError,
     StudyCounts,
@@ -16,6 +17,7 @@ from epsident import (
     parse_counts_csv,
     parse_input_json,
 )
+from epsident.distributions import present_atoms, require_atoms
 
 counts_st = st.integers(min_value=0, max_value=10_000)
 
@@ -115,6 +117,50 @@ class TestCompatibility:
         assert len(report.not_evaluated) == 8
 
 
+class TestAtoms:
+    def test_present_atoms_merges_in_argument_order(self):
+        exp = ExperimentalDistribution(p_y_do_xp=0.3)
+        obs = ObservationalDistribution(p_xpyp=0.2, p_xy=0.4)
+        assume = Assumptions(p_y_max=0.5)
+        present = present_atoms(exp, obs, assume)
+        assert list(present.items()) == [
+            ("p_y_do_xp", 0.3), ("p_xy", 0.4), ("p_xpyp", 0.2), ("p_y_max", 0.5)
+        ]
+        assert list(present_atoms(obs, exp)) == ["p_xy", "p_xpyp", "p_y_do_xp"]
+
+    def test_present_atoms_skips_none(self):
+        exp = ExperimentalDistribution(p_y_do_x=0.7)
+        assert present_atoms(None, exp, None) == {"p_y_do_x": 0.7}
+        assert present_atoms(None, None) == {}
+        assert present_atoms() == {}
+
+    def test_require_atoms_returns_values_in_request_order(self, running_exp, running_obs):
+        values = require_atoms(running_exp, running_obs, ("p_xpyp", "p_y_do_xp", "p_xy"), "ctx")
+        assert list(values.items()) == [("p_xpyp", 0.3), ("p_y_do_xp", 0.3), ("p_xy", 0.4)]
+
+    def test_require_atoms_lists_missing_in_request_order(self):
+        exp = ExperimentalDistribution(p_y_do_x=0.7)
+        obs = ObservationalDistribution(p_xy=0.4)
+        atoms = ("p_xpyp", "p_y_do_x", "p_y_do_xp", "p_xy", "p_xyp")
+        with pytest.raises(MissingData) as info:
+            require_atoms(exp, obs, atoms, "pns bounds")
+        assert info.value.missing == ("p_xpyp", "p_y_do_xp", "p_xyp")
+        assert str(info.value) == "pns bounds: missing data atoms: p_xpyp, p_y_do_xp, p_xyp"
+
+    def test_require_atoms_with_absent_records(self, running_exp, running_obs):
+        assert require_atoms(None, running_obs, ("p_xy",), "ctx") == {"p_xy": 0.4}
+        assert require_atoms(running_exp, None, ("p_y_do_x",), "ctx") == {"p_y_do_x": 0.7}
+        with pytest.raises(MissingData) as info:
+            require_atoms(None, None, ("p_xy", "p_y_do_x"), "ctx")
+        assert info.value.missing == ("p_xy", "p_y_do_x")
+
+    def test_marginals_need_both_cells(self, running_obs):
+        assert (running_obs.p_x, running_obs.p_xp) == (0.4 + 0.1, 0.2 + 0.3)
+        assert (running_obs.p_y, running_obs.p_yp) == (0.4 + 0.2, 0.1 + 0.3)
+        obs = ObservationalDistribution(p_xy=0.4, p_xyp=0.1, p_xpy=0.2)
+        assert (obs.p_x, obs.p_xp, obs.p_y, obs.p_yp) == (0.4 + 0.1, None, 0.4 + 0.2, None)
+
+
 class TestIngestion:
     def test_json_full(self):
         data = parse_input_json(
@@ -162,6 +208,18 @@ class TestIngestion:
         counts = parse_counts_csv(text, "observational")
         assert counts.n_treated_recovered == 3
         assert counts.n_untreated_not == 3
+
+    @pytest.mark.parametrize("lead", ["\n", "\n\n", " , ,\n"], ids=["one", "two", "spaces"])
+    def test_csv_header_after_blank_lines(self, lead):
+        text = lead + "arm,outcome,count\ntreated,positive,3\nuntreated,negative,2\n"
+        counts = parse_counts_csv(text, "observational")
+        assert (counts.n_treated_recovered, counts.n_untreated_not) == (3, 2)
+
+    def test_csv_header_only_as_first_nonblank_row(self):
+        # a header-like row after a data row is data, reported by its own row number
+        text = "\ntreated,positive,3\narm,outcome,count\n"
+        with pytest.raises(ParseError, match="row 3: unknown arm 'arm'"):
+            parse_counts_csv(text, "observational")
 
     @pytest.mark.parametrize(
         "text",

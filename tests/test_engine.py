@@ -168,6 +168,14 @@ class TestEffectTheorem:
         assert ident.q == pytest.approx(0.54)
         assert "y_xp" in scan.skipped
 
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("with_joint", [False, True], ids=["no-joint", "joint"])
+    def test_scan_rejects_invalid_eps(self, eps, with_joint, running_obs):
+        # without a joint no variant can be evaluated, yet eps is still checked
+        obs = running_obs if with_joint else None
+        with pytest.raises(InvalidDistribution, match="eps must be positive"):
+            eps_identify_effects(eps, obs)
+
     def test_scan_soundness_against_oracle(self):
         for seed in range(150):
             scenario = sample_joint(seed)
