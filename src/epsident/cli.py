@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -645,8 +646,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), EXIT_PARSE)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "eps", None) is not None and not args.eps > 0:
-        return _fail("--eps must be positive", EXIT_PARSE)
+    if getattr(args, "eps", None) is not None and not 0 < args.eps < math.inf:
+        return _fail("--eps must be positive and finite", EXIT_PARSE)
     if getattr(args, "trials", 0) < 0:
         return _fail("--trials must be non-negative", EXIT_PARSE)
     try:

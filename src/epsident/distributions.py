@@ -89,7 +89,9 @@ def _check_prob(value: float | None, name: str) -> float | None:
     v = float(value)
     if not math.isfinite(v) or v < -get_tolerance() or v > 1.0 + get_tolerance():
         raise InvalidDistribution(f"{name} must be a probability in [0,1], got {value!r}")
-    return min(max(v, 0.0), 1.0)
+    # + 0.0 turns -0.0 into 0.0, so records that compare equal hold the same
+    # bits and a cache keyed by them cannot mix two signs of zero
+    return min(max(v, 0.0), 1.0) + 0.0
 
 
 def check_unit(**values: float) -> None:
@@ -102,7 +104,7 @@ def check_unit(**values: float) -> None:
 def check_eps(eps: float) -> None:
     """Reject a radius that is not a positive finite number."""
     if not (0.0 < eps < math.inf):
-        raise InvalidDistribution(f"eps must be positive, got {eps!r}")
+        raise InvalidDistribution(f"eps must be positive and finite, got {eps!r}")
 
 
 def _check_probs(record, names) -> None:

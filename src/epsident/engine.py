@@ -10,11 +10,20 @@ must be exactly computable; the certificate is that the target lies in
 Partial data shrink the evaluated set: entries whose premise involves a
 quantity carrying no information at all, or whose center is not exactly
 computable, are reported as not evaluated rather than silently dropped.
+
+Only the threshold depends on eps.  A scan is therefore split in two: a
+profile, built once per target, dataset and tolerance, holds the ranges, the
+refusals, each evaluated entry's premise value and center, and the
+not-evaluated records; its ``at(eps)`` compares the premise values with
+``2*eps*den`` and builds the report.  Profiles and ranges sit in small
+bounded caches keyed by the (frozen, hashable) records and the tolerance,
+so a sweep over radii pays for one scan; a refusal is raised, never cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from . import catalog
 from .bounds import (
@@ -211,26 +220,90 @@ class EpsReport:
         }
 
 
-def eps_identify(
-    quantity: str,
-    exp: ExperimentalDistribution | None = None,
-    obs: ObservationalDistribution | None = None,
-    eps: float = 0.0,
-    assumptions: Assumptions | None = None,
-) -> EpsReport:
-    """Scan every published near-point condition for one of
-    :data:`catalog.TARGETS` at radius ``eps``."""
+# Each cache holds a few datasets' worth of entries: a sweep over radii
+# reuses the last few, so nothing older is worth keeping.
+_SCAN_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _ranges(exp, obs, assumptions, tol: float) -> QuantityRanges:
+    """The :class:`QuantityRanges` of one dataset; ``tol``, the tolerance in
+    force, is part of the key because the ranges read it."""
+    return QuantityRanges(exp, obs, assumptions)
+
+
+class _Profile:
+    """The eps-free part of one catalog scan: each evaluated entry's premise
+    value and center, every not-evaluated record, and, once something fires,
+    the tight interval that ranks the fired entries."""
+
+    def __init__(self, quantity, exp, obs, den, tol, evaluated, skipped) -> None:
+        self.quantity, self.exp, self.obs, self.den, self.tol = quantity, exp, obs, den, tol
+        self.evaluated = evaluated
+        self.skipped = skipped
+
+    @cached_property
+    def tight(self) -> Interval | None:
+        """The tight bounds, when the data give them; compatibility was
+        refused when the profile was built, so it is not checked again."""
+        if self.exp is None or self.obs is None:
+            return None
+        try:
+            return tight_interval(bound_arguments(self.quantity, self.exp, self.obs))
+        except (MissingData, ZeroDenominator):
+            return None
+
+    def at(self, eps: float) -> EpsReport:
+        """The scan's report at radius ``eps``: an entry fires when its premise
+        value is at most ``2*eps*den`` plus the tolerance."""
+        threshold = 2.0 * eps * self.den
+        limit = threshold + self.tol
+        fired: list[tuple[int, EpsIdentification]] = []
+        for index, premise_value, center, sign, entry_id, premise, threshold_label, center_label \
+                in self.evaluated:
+            if premise_value > limit:
+                continue
+            condition = Condition(
+                entry_id, premise, premise_value, threshold_label, threshold, center_label
+            )
+            fired.append((index, EpsIdentification(self.quantity, center + sign * eps, eps, condition)))
+
+        tightest = None
+        if fired:
+            tight = self.tight
+
+            def sort_key(item):
+                index, ident = item
+                width = 2.0 * ident.eps
+                if tight is not None:
+                    width = ident.certified.intersect(tight).width
+                return (width, index)
+
+            tightest = min(fired, key=sort_key)[1]
+
+        return EpsReport(
+            quantity=self.quantity,
+            eps=eps,
+            fired=tuple(ident for _, ident in fired),
+            tightest=tightest,
+            not_evaluated=self.skipped,
+        )
+
+
+@lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _profile(quantity: str, exp, obs, assumptions, tol: float) -> _Profile:
+    """Build the eps-free scan of one target on one dataset, making the
+    denominator and compatibility refusals; ``tol`` is the tolerance in force."""
     target = catalog.target(quantity)
-    check_eps(eps)
-    ranges = QuantityRanges(exp, obs, assumptions)
-    tol = get_tolerance()
+    ranges = _ranges(exp, obs, assumptions, tol)
 
     denominator = target.denominator
     den_value = None if denominator is None else ranges.exact(denominator)
     target.require_denominator(den_value)
     refuse_incompatible(exp, obs)
+    den = den_value if den_value is not None else 1.0
 
-    fired: list[tuple[int, EpsIdentification]] = []
+    evaluated = []
     skipped: list[NotEvaluated] = []
     for index, entry in enumerate(target.entries):
         missing: list[str] = []
@@ -250,49 +323,29 @@ def eps_identify(
                 NotEvaluated(entry.entry_id, entry.premise_label, entry.center_label, tuple(ordered))
             )
             continue
-        threshold = 2.0 * eps * (den_value if den_value is not None else 1.0)
-        premise_value = ranges.upper_value(entry.premise.terms)
-        if premise_value > threshold + tol:
-            continue
-        q = center_value / (den_value if den_value is not None else 1.0)
-        q += entry.center_sign * eps
-        condition = Condition(
-            entry_id=entry.entry_id,
-            premise=entry.premise_label,
-            premise_value=premise_value,
-            threshold=entry.threshold_label,
-            threshold_value=threshold,
-            center=entry.center_label,
-        )
-        fired.append((index, EpsIdentification(quantity, q, eps, condition)))
+        evaluated.append((
+            index, ranges.upper_value(entry.premise.terms), center_value / den, entry.center_sign,
+            entry.entry_id, entry.premise_label, entry.threshold_label, entry.center_label,
+        ))
+    return _Profile(quantity, exp, obs, den, tol, tuple(evaluated), tuple(skipped))
 
-    tightest = None
-    if fired:
-        # the tight bounds, when the data give them, rank the fired entries;
-        # compatibility was refused above, so it is not checked again
-        tight = None
-        if exp is not None and obs is not None:
-            try:
-                tight = tight_interval(bound_arguments(quantity, exp, obs))
-            except (MissingData, ZeroDenominator):
-                pass
 
-        def sort_key(item):
-            index, ident = item
-            width = 2.0 * ident.eps
-            if tight is not None:
-                width = ident.certified.intersect(tight).width
-            return (width, index)
+def eps_identify(
+    quantity: str,
+    exp: ExperimentalDistribution | None = None,
+    obs: ObservationalDistribution | None = None,
+    eps: float = 0.0,
+    assumptions: Assumptions | None = None,
+) -> EpsReport:
+    """Scan every published near-point condition for one of
+    :data:`catalog.TARGETS` at radius ``eps``.
 
-        tightest = min(fired, key=sort_key)[1]
-
-    return EpsReport(
-        quantity=quantity,
-        eps=eps,
-        fired=tuple(ident for _, ident in fired),
-        tightest=tightest,
-        not_evaluated=tuple(skipped),
-    )
+    The eps-free work is shared by every radius asked of the same data under
+    the same tolerance; refusals are never cached, so each call raises them.
+    """
+    catalog.target(quantity)
+    check_eps(eps)
+    return _profile(quantity, exp, obs, assumptions, get_tolerance()).at(eps)
 
 
 def eps_identify_pns(
@@ -380,7 +433,7 @@ def eps_identify_effects(
     marginal bound are skipped with the missing quantity names.
     """
     check_eps(eps)
-    ranges = QuantityRanges(None, obs, assumptions)
+    ranges = _ranges(None, obs, assumptions, get_tolerance())
     results: dict[str, EpsIdentification | NotIdentified] = {}
     skipped: dict[str, tuple[str, ...]] = {}
     for variant, effect in EFFECTS.items():

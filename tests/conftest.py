@@ -7,11 +7,20 @@ from epsident import (
     StudyCounts,
     from_counts,
 )
+from epsident import engine
 
 # every property draws the same examples on every run: the seed is a hash of
 # the test, so a failure reproduces without an example database
 settings.register_profile("seeded", derandomize=True)
 settings.load_profile("seeded")
+
+
+@pytest.fixture(autouse=True)
+def _cold_scan_caches():
+    """Start every test with empty scan caches, so that counts of the work a
+    scan does never depend on which tests ran before."""
+    engine._profile.cache_clear()
+    engine._ranges.cache_clear()
 
 
 @pytest.fixture()

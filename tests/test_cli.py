@@ -155,9 +155,11 @@ class TestEpsident:
         path = write("bad.json", INCOMPATIBLE)
         assert main(["epsident", path, "--eps", "0.1"]) == 3
 
-    def test_nonpositive_eps_exits_2(self, write):
+    def test_nonpositive_eps_exits_2(self, write, capsys):
         path = write("running.json", RUNNING)
-        assert main(["epsident", path, "--eps", "0"]) == 2
+        for eps in ("0", "inf", "nan"):
+            assert main(["epsident", path, "--eps", eps]) == 2
+            assert "--eps must be positive and finite" in capsys.readouterr().err
 
 
 class TestUnitSelect:
@@ -384,6 +386,19 @@ class TestRepeatedWork:
         calls = _count_calls(monkeypatch, [distributions, bounds, engine], "check_compatibility")
         assert eps_identify_pns(exp, obs, eps=0.15).fired
         assert len(calls) == 1
+
+    def test_sweep_profiles_each_target_once(self, monkeypatch):
+        # one range build for the dataset and one refusal check per target,
+        # however many radii are asked
+        exp = ExperimentalDistribution(0.7, 0.3)
+        obs = ObservationalDistribution(0.4, 0.1, 0.2, 0.3)
+        ranges = _count_calls(monkeypatch, [engine], "QuantityRanges")
+        compat = _count_calls(monkeypatch, [distributions, bounds, engine], "check_compatibility")
+        for eps in cli.EPS_SWEEP:
+            for name in ("pns", "pn", "ps"):
+                engine.eps_identify(name, exp, obs, eps)
+        assert len(ranges) == 1
+        assert len(compat) == 3
 
 
 class TestReportContract:

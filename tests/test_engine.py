@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epsident import (
     Assumptions,
@@ -20,7 +24,126 @@ from epsident import (
     pns_bounds,
     sample_joint,
 )
+from epsident import catalog
+from epsident.bounds import bound_arguments, refuse_incompatible, tight_interval
+from epsident.cli import EPS_SWEEP
+from epsident.config import get_tolerance, set_tolerance
+from epsident.distributions import EFFECTS, Condition, check_eps
+from epsident.engine import (
+    EffectScan,
+    EpsReport,
+    NotEvaluated,
+    QuantityRanges,
+    eps_identify,
+)
+from epsident.errors import EpsidentError, MissingData
+from epsident.forms import QUANTITIES
 
+
+def _reference_scan(quantity, exp=None, obs=None, eps=0.0, assumptions=None) -> EpsReport:
+    """The catalog scan as one loop that redoes all its work at every radius:
+    the reference the engine's eps-free profile must reproduce exactly."""
+    target = catalog.target(quantity)
+    check_eps(eps)
+    ranges = QuantityRanges(exp, obs, assumptions)
+    tol = get_tolerance()
+
+    denominator = target.denominator
+    den_value = None if denominator is None else ranges.exact(denominator)
+    target.require_denominator(den_value)
+    refuse_incompatible(exp, obs)
+
+    fired: list[tuple[int, EpsIdentification]] = []
+    skipped: list[NotEvaluated] = []
+    for index, entry in enumerate(target.entries):
+        missing: list[str] = []
+        if denominator is not None and den_value is None:
+            missing.append(denominator)
+        missing.extend(
+            name for _, name in entry.premise.terms if not ranges.informative(name)
+        )
+        center_value = ranges.exact_value(entry.center.terms)
+        if center_value is None:
+            missing.extend(
+                name for _, name in entry.center.terms if ranges.exact(name) is None
+            )
+        if missing:
+            ordered = sorted(set(missing), key=QUANTITIES.index)
+            skipped.append(
+                NotEvaluated(entry.entry_id, entry.premise_label, entry.center_label, tuple(ordered))
+            )
+            continue
+        threshold = 2.0 * eps * (den_value if den_value is not None else 1.0)
+        premise_value = ranges.upper_value(entry.premise.terms)
+        if premise_value > threshold + tol:
+            continue
+        q = center_value / (den_value if den_value is not None else 1.0)
+        q += entry.center_sign * eps
+        condition = Condition(
+            entry_id=entry.entry_id,
+            premise=entry.premise_label,
+            premise_value=premise_value,
+            threshold=entry.threshold_label,
+            threshold_value=threshold,
+            center=entry.center_label,
+        )
+        fired.append((index, EpsIdentification(quantity, q, eps, condition)))
+
+    tightest = None
+    if fired:
+        tight = None
+        if exp is not None and obs is not None:
+            try:
+                tight = tight_interval(bound_arguments(quantity, exp, obs))
+            except (MissingData, ZeroDenominator):
+                pass
+
+        def sort_key(item):
+            index, ident = item
+            width = 2.0 * ident.eps
+            if tight is not None:
+                width = ident.certified.intersect(tight).width
+            return (width, index)
+
+        tightest = min(fired, key=sort_key)[1]
+
+    return EpsReport(
+        quantity=quantity,
+        eps=eps,
+        fired=tuple(ident for _, ident in fired),
+        tightest=tightest,
+        not_evaluated=tuple(skipped),
+    )
+
+
+def _reference_effects(eps, obs=None, assumptions=None) -> EffectScan:
+    """The effect scan, building its ranges afresh at every radius."""
+    check_eps(eps)
+    ranges = QuantityRanges(None, obs, assumptions)
+    results = {}
+    skipped = {}
+    for variant, effect in EFFECTS.items():
+        cell, marginal = effect.cell, effect.opposite_marginal
+        missing = []
+        cell_value = ranges.exact(cell)
+        if cell_value is None:
+            missing.append(cell)
+        ub = ranges.interval(marginal).hi
+        if not ranges.informative(marginal):
+            missing.append(marginal)
+        if missing:
+            skipped[variant] = tuple(missing)
+            continue
+        results[variant] = eps_identify_effect(cell_value, ub, eps, variant)
+    return EffectScan(results, skipped)
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type and text of the refusal it raised."""
+    try:
+        return fn(*args)
+    except EpsidentError as exc:
+        return type(exc), str(exc)
 
 class TestPnsScan:
     def test_running_fires_at_half_width(self, running_exp, running_obs):
@@ -251,3 +374,120 @@ class TestSoundnessAgainstOracle:
                 for eps in (0.03, 0.4):
                     for ident in scans[name](exp, obs, eps).fired:
                         assert ident.certified.contains_interval(tight)
+
+
+@st.composite
+def datasets(draw):
+    """A dataset in one of the four forms: full data, a partial joint,
+    asserted marginal bounds, or one arm with bounds; a shifted treated arm
+    makes some of them incompatible."""
+    scenario = sample_joint(draw(st.integers(0, 10_000)))
+    truth = scenario.observational
+    shift = draw(st.sampled_from((0.0, 0.0, 0.3)))
+    exp = ExperimentalDistribution(
+        min(scenario.experimental.p_y_do_x + shift, 1.0), scenario.experimental.p_y_do_xp
+    )
+    obs, assumptions = truth, None
+    form = draw(st.sampled_from(("full", "partial", "bounded", "one-arm")))
+    if form in ("partial", "bounded"):
+        cells = st.sampled_from(ObservationalDistribution.__slots__)
+        kept = draw(st.lists(cells, unique=True, max_size=3))
+        obs = ObservationalDistribution(**{c: truth.cell(c) for c in kept}) if kept else None
+    if form in ("bounded", "one-arm"):
+        slack = draw(st.sampled_from((0.0, 0.01, 0.1)))
+        names = draw(st.lists(st.sampled_from(Assumptions.__slots__), unique=True, min_size=1))
+        assumptions = Assumptions(
+            **{n: min(getattr(truth, n.removesuffix("_max")) + slack, 1.0) for n in names}
+        )
+    if form == "one-arm":
+        arm = draw(st.sampled_from(("p_y_do_x", "p_y_do_xp")))
+        exp, obs = ExperimentalDistribution(**{arm: getattr(exp, arm)}), None
+    return exp, obs, assumptions
+
+
+class TestEpsFreeProfile:
+    @given(
+        data=datasets(),
+        extra=st.floats(1e-4, 1.0),
+        switch=st.integers(1, len(EPS_SWEEP)),
+        tol=st.sampled_from((0.0, 1e-6, 0.05)),
+    )
+    def test_every_radius_matches_reference_scan(self, data, extra, switch, tol):
+        # the same data at every radius of the sweep plus one drawn radius,
+        # with the tolerance changed once between two of the calls
+        exp, obs, assumptions = data
+        before = get_tolerance()
+        try:
+            for step, eps in enumerate(EPS_SWEEP + (extra,)):
+                if step == switch:
+                    set_tolerance(tol)
+                for quantity in catalog.TARGETS:
+                    args = (quantity, exp, obs, eps, assumptions)
+                    assert _outcome(eps_identify, *args) == _outcome(_reference_scan, *args)
+                args = (eps, obs, assumptions)
+                assert _outcome(eps_identify_effects, *args) == _outcome(_reference_effects, *args)
+        finally:
+            set_tolerance(before)
+
+    def test_tolerance_change_reaches_the_cache(self, running_exp):
+        # P(x) is only known to lie in [0.05, 1]: informative at the default
+        # tolerance, not at 0.1, so entries and effects flip to not evaluated
+        obs = ObservationalDistribution(p_xy=0.05)
+
+        def scans(scan, effects):
+            return scan("pns", running_exp, obs, 0.1), effects(0.1, obs)
+
+        default = scans(eps_identify, eps_identify_effects)
+        before = get_tolerance()
+        try:
+            set_tolerance(0.1)
+            loose = scans(eps_identify, eps_identify_effects)
+            assert loose == scans(_reference_scan, _reference_effects)
+        finally:
+            set_tolerance(before)
+        assert len(loose[0].not_evaluated) > len(default[0].not_evaluated)
+        assert "y_x" in default[1].results and "y_x" in loose[1].skipped
+        assert scans(eps_identify, eps_identify_effects) == default
+
+
+    def test_signed_zero_inputs_share_one_profile(self):
+        # 0.0 and -0.0 compare equal, so they must be stored alike: the scan
+        # read from the cache then carries the same bits as a fresh one
+        obs = ObservationalDistribution(p_xy=0.5)
+        first = eps_identify_effects(0.1, obs, Assumptions(p_xp_max=0.0))
+        again = eps_identify_effects(0.1, obs, Assumptions(p_xp_max=-0.0))
+        fresh = _reference_effects(0.1, obs, Assumptions(p_xp_max=-0.0))
+        assert repr(first) == repr(again) == repr(fresh)
+
+
+class TestRefusalsAfterProfiling:
+    @pytest.mark.parametrize("eps", [0.0, math.nan, math.inf])
+    def test_invalid_eps_refused_on_profiled_data(self, eps, running_exp, running_obs):
+        assert eps_identify_pns(running_exp, running_obs, 0.15).fired
+        assert eps_identify_effects(0.15, running_obs).results
+        for _ in range(2):
+            with pytest.raises(InvalidDistribution, match="eps must be positive"):
+                eps_identify_pns(running_exp, running_obs, eps)
+            with pytest.raises(InvalidDistribution, match="eps must be positive"):
+                eps_identify_effects(eps, running_obs)
+
+    def test_zero_denominator_before_incompatible(self):
+        # P(x,y) = 0 and P(y_x) = 0.9 > 1 - P(x,y'): both refusals apply
+        exp = ExperimentalDistribution(0.9, 0.3)
+        obs = ObservationalDistribution(0.0, 0.5, 0.2, 0.3)
+        for eps in EPS_SWEEP:
+            with pytest.raises(ZeroDenominator):
+                eps_identify_pn(exp, obs, eps)
+            with pytest.raises(Incompatible):
+                eps_identify_pns(exp, obs, eps)
+
+    def test_incompatible_refused_on_every_call(self):
+        exp = ExperimentalDistribution(0.3, 0.3)
+        obs = ObservationalDistribution(0.4, 0.1, 0.2, 0.3)
+        assert eps_identify_effects(0.1, obs).results
+        for eps in EPS_SWEEP:
+            with pytest.raises(Incompatible):
+                eps_identify_pns(exp, obs, eps)
+        # the radius is checked before the data are
+        with pytest.raises(InvalidDistribution, match="eps must be positive"):
+            eps_identify_pns(exp, obs, 0.0)
