@@ -39,6 +39,7 @@ from .errors import (
     InvalidDistribution,
     MonotonicityRefuted,
 )
+from .forms import quantity_from_atoms
 from .interval import Interval
 
 __all__ = [
@@ -201,7 +202,7 @@ def identify_monotone(
         exp, obs, ("p_y_do_x", "p_y_do_xp", "p_xy", "p_xpy", "p_xpyp"), "monotone identification"
     )
     tol = get_tolerance()
-    p_y = values["p_xy"] + values["p_xpy"]
+    p_y = quantity_from_atoms("p_y", values)
     p_yx, p_yxp = values["p_y_do_x"], values["p_y_do_xp"]
     if p_yx < p_y - tol or p_y < p_yxp - tol:
         raise MonotonicityRefuted(

@@ -68,8 +68,8 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _refuse(compat) -> int:
-    for v in compat.violations:
+def _refuse(violations) -> int:
+    for v in violations:
         print(f"incompatible: {v}", file=sys.stderr)
     return EXIT_INCOMPATIBLE
 
@@ -125,7 +125,7 @@ def cmd_bounds(args) -> int:
     data = _load_input(args.input, args.kind)
     compat = check_compatibility(data.experimental, data.observational)
     if compat.violations and not args.force:
-        return _refuse(compat)
+        return _refuse(compat.violations)
 
     warnings = [f"incompatible: {v}" for v in compat.violations]
     effects = {}
@@ -241,10 +241,7 @@ def cmd_epsident(args) -> int:
             "inputs": {"p_y_given_x": inp.p_y_given_x, "p_x": inp.p_x, "u_max": inp.u_max,
                        "c": inp.c if inp.c is not None else "auto"},
         }
-        try:
-            general = conf_mod.eps_identify_effect_confounded(inp, args.eps)
-        except NoFeasibleC as exc:
-            return _fail(str(exc), EXIT_NO_FEASIBLE_C)
+        general = conf_mod.eps_identify_effect_confounded(inp, args.eps)
         section["general"] = _ident_dict(general)
         lines.append(_ident_text("P(y_x) [confounded]", general, args.eps))
         if inp.p_x >= 0.5:
@@ -258,59 +255,56 @@ def cmd_epsident(args) -> int:
         report["confounded"] = section
 
     if run_scans:
-        try:
-            if args.minimal:
-                report["minimal"] = {}
-                for name in SCAN_QUANTITIES + tuple(bounds_mod.EFFECT_VARIANTS):
-                    if selected not in ("all", name) and not (selected == "effect" and name in bounds_mod.EFFECT_VARIANTS):
-                        continue
-                    label = engine_mod.QUANTITY_DISPLAY[name]
-                    try:
-                        eps_star, q_star = engine_mod.minimal_epsilon(
-                            name, data.experimental, data.observational
-                        )
-                        report["minimal"][name] = {"eps_star": eps_star, "q_star": q_star}
-                        lines.append(f"{label:11s} eps* = {eps_star:.6g}, q* = {q_star:.6g}")
-                    except MissingData as exc:
-                        report["minimal"][name] = {
-                            "status": "insufficient data", "missing": list(exc.missing)
-                        }
-                        lines.append(f"{label:11s} insufficient data")
-                    except ZeroDenominator as exc:
-                        report["minimal"][name] = {"status": "undefined", "reason": str(exc)}
-                        lines.append(f"{label:11s} undefined: {exc}")
-            else:
-                report["eps"] = args.eps
-                report["eps_reports"] = {}
-                for name in SCAN_QUANTITIES:
-                    if selected not in ("all", name):
-                        continue
-                    label = engine_mod.QUANTITY_DISPLAY[name]
-                    try:
-                        result = engine_mod.eps_identify(
-                            name, data.experimental, data.observational, args.eps, data.assumptions
-                        )
-                        report["eps_reports"][name] = result.to_json_dict()
-                        lines.extend(_scan_text(label, result))
-                    except ZeroDenominator as exc:
-                        report["eps_reports"][name] = {"status": "undefined", "reason": str(exc)}
-                        lines.append(f"{label}: undefined: {exc}")
-                if selected in ("all", "effect"):
-                    scan = engine_mod.eps_identify_effects(
-                        args.eps, data.observational, data.assumptions
+        if args.minimal:
+            report["minimal"] = {}
+            for name in SCAN_QUANTITIES + tuple(bounds_mod.EFFECT_VARIANTS):
+                if selected not in ("all", name) and not (selected == "effect" and name in bounds_mod.EFFECT_VARIANTS):
+                    continue
+                label = engine_mod.QUANTITY_DISPLAY[name]
+                try:
+                    eps_star, q_star = engine_mod.minimal_epsilon(
+                        name, data.experimental, data.observational
                     )
-                    report["effects"] = {
-                        "results": {v: _ident_dict(r) for v, r in scan.results.items()},
-                        "skipped": {v: list(m) for v, m in scan.skipped.items()},
+                    report["minimal"][name] = {"eps_star": eps_star, "q_star": q_star}
+                    lines.append(f"{label:11s} eps* = {eps_star:.6g}, q* = {q_star:.6g}")
+                except MissingData as exc:
+                    report["minimal"][name] = {
+                        "status": "insufficient data", "missing": list(exc.missing)
                     }
-                    for variant, result in scan.results.items():
-                        lines.append(_ident_text(bounds_mod.EFFECT_LABELS[variant], result, args.eps))
-                    for variant, missing in scan.skipped.items():
-                        lines.append(
-                            f"{bounds_mod.EFFECT_LABELS[variant]}: not evaluated (missing {', '.join(missing)})"
-                        )
-        except Incompatible as exc:
-            return _fail(str(exc), EXIT_INCOMPATIBLE)
+                    lines.append(f"{label:11s} insufficient data (missing: {', '.join(exc.missing)})")
+                except ZeroDenominator as exc:
+                    report["minimal"][name] = {"status": "undefined", "reason": str(exc)}
+                    lines.append(f"{label:11s} undefined: {exc}")
+        else:
+            report["eps"] = args.eps
+            report["eps_reports"] = {}
+            for name in SCAN_QUANTITIES:
+                if selected not in ("all", name):
+                    continue
+                label = engine_mod.QUANTITY_DISPLAY[name]
+                try:
+                    result = engine_mod.eps_identify(
+                        name, data.experimental, data.observational, args.eps, data.assumptions
+                    )
+                    report["eps_reports"][name] = result.to_json_dict()
+                    lines.extend(_scan_text(label, result))
+                except ZeroDenominator as exc:
+                    report["eps_reports"][name] = {"status": "undefined", "reason": str(exc)}
+                    lines.append(f"{label}: undefined: {exc}")
+            if selected in ("all", "effect"):
+                scan = engine_mod.eps_identify_effects(
+                    args.eps, data.observational, data.assumptions
+                )
+                report["effects"] = {
+                    "results": {v: _ident_dict(r) for v, r in scan.results.items()},
+                    "skipped": {v: list(m) for v, m in scan.skipped.items()},
+                }
+                for variant, result in scan.results.items():
+                    lines.append(_ident_text(bounds_mod.EFFECT_LABELS[variant], result, args.eps))
+                for variant, missing in scan.skipped.items():
+                    lines.append(
+                        f"{bounds_mod.EFFECT_LABELS[variant]}: not evaluated (missing {', '.join(missing)})"
+                    )
 
     _emit(report, args.json, "\n".join(lines))
     return EXIT_OK
@@ -355,7 +349,7 @@ def cmd_unit_select(args) -> int:
     data = _load_input(args.input, args.kind)
     compat = check_compatibility(data.experimental, data.observational)
     if compat.violations:
-        return _refuse(compat)
+        return _refuse(compat.violations)
     beta, gamma, theta, delta = args.payoffs
     payoffs = BenefitVector(beta, gamma, theta, delta)
     if data.experimental is None:
@@ -655,7 +649,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         return _fail(str(exc), EXIT_PARSE)
     except Incompatible as exc:
-        return _fail(str(exc), EXIT_INCOMPATIBLE)
+        return _refuse(exc.violations)
     except NoFeasibleC as exc:
         return _fail(str(exc), EXIT_NO_FEASIBLE_C)
     except (InvalidDistribution, MissingData, EpsidentError) as exc:

@@ -73,15 +73,19 @@ class ConfoundedEffectInput:
 
     def __post_init__(self) -> None:
         check_unit(p_y_given_x=self.p_y_given_x, p_x=self.p_x, u_max=self.u_max)
-        if self.p_x <= 0.0:
-            raise InvalidDistribution("p_x must be positive")
-        if self.c is not None:
-            c = float(self.c)
-            if not (0.0 < c <= self.p_x - self.u_max + get_tolerance()):
-                raise InvalidDistribution(
-                    f"c must satisfy 0 < c <= p_x - u_max = {self.p_x - self.u_max:.6g}, got {c!r}"
-                )
-            object.__setattr__(self, "c", c)
+        c = None if self.c is None else float(self.c)
+        _check_slack(self.p_x, self.u_max, "u_max", c)
+        object.__setattr__(self, "c", c)
+
+
+def _check_slack(p_x: float, u: float, u_name: str, c: float | None) -> None:
+    """Reject p_x <= 0 and, when given, a slack constant outside 0 < c <= p_x - u."""
+    if p_x <= 0.0:
+        raise InvalidDistribution("p_x must be positive")
+    if c is not None and not (0.0 < c <= p_x - u + get_tolerance()):
+        raise InvalidDistribution(
+            f"c must satisfy 0 < c <= p_x - {u_name} = {p_x - u:.6g}, got {c!r}"
+        )
 
 
 def _threshold_factor(c: float, p_x: float) -> float:
@@ -165,12 +169,7 @@ def effect_sandwich(p_y_given_x: float, p_x: float, p_u: float, c: float) -> Int
     and 0 < c <= P(x) - P(u); endpoints are not clamped to [0,1].
     """
     check_unit(p_y_given_x=p_y_given_x, p_x=p_x, p_u=p_u)
-    if p_x <= 0.0:
-        raise InvalidDistribution("p_x must be positive")
-    if not (0.0 < c <= p_x - p_u + get_tolerance()):
-        raise InvalidDistribution(
-            f"c must satisfy 0 < c <= p_x - p_u = {p_x - p_u:.6g}, got {c!r}"
-        )
+    _check_slack(p_x, p_u, "p_u", c)
     lo = p_y_given_x - (1.0 + 1.0 / p_x) * p_u
     hi = p_y_given_x + (1.0 + 1.0 / c) * p_u
     return Interval(lo, hi)

@@ -43,9 +43,18 @@ from .distributions import (
     ObservationalDistribution,
     check_eps,
     check_unit,
+    present_atoms,
 )
 from .errors import Incompatible, InvalidDistribution, MissingData, ZeroDenominator
-from .forms import QUANTITIES, QUANTITY_ATOMS, QUANTITY_LABELS
+from .forms import (
+    CELL_ATOMS,
+    COMPLEMENTS,
+    EXP_ATOMS,
+    ONE_MINUS,
+    QUANTITIES,
+    QUANTITY_ATOMS,
+    QUANTITY_LABELS,
+)
 from .interval import Interval
 
 __all__ = [
@@ -92,50 +101,33 @@ class QuantityRanges:
                 )
             iv[name] = Interval(min(lo, hi), hi)
 
-        for name, comp in (("p_y_do_x", "p_yp_do_x"), ("p_y_do_xp", "p_yp_do_xp")):
-            v = getattr(exp, name) if exp is not None else None
-            if v is None:
-                put(name, 0.0, 1.0)
-                put(comp, 0.0, 1.0)
-            else:
-                put(name, v, v)
-                put(comp, 1.0 - v, 1.0 - v)
-
-        cells = ("p_xy", "p_xyp", "p_xpy", "p_xpyp")
-        present = {c: (obs.cell(c) if obs is not None else None) for c in cells}
-        mass = sum(v for v in present.values() if v is not None)
-        free = max(0.0, 1.0 - mass)
-        for c in cells:
-            v = present[c]
-            if v is None:
-                put(c, 0.0, free if obs is not None else 1.0)
-            else:
-                put(c, v, v)
-
-        def subset(name: str, a: str, b: str) -> None:
-            va, vb = present[a], present[b]
-            lo = (va or 0.0) + (vb or 0.0)
-            hi = lo + (free if (va is None or vb is None) else 0.0)
-            if obs is None:
-                lo, hi = 0.0, 1.0
+        # an absent arm can take any value; absent cells share the free mass
+        present = present_atoms(exp, obs)
+        free = max(0.0, 1.0 - sum(present[c] for c in CELL_ATOMS if c in present))
+        slack = dict.fromkeys(EXP_ATOMS, 1.0) | dict.fromkeys(CELL_ATOMS, free)
+        for name in QUANTITIES:
+            lo, missing = 0.0, None
+            for atom in QUANTITY_ATOMS[name]:
+                if atom in present:
+                    lo += present[atom]
+                else:
+                    missing = atom
+            hi = lo if missing is None else lo + slack[missing]
+            if name in ONE_MINUS:
+                lo, hi = 1.0 - hi, 1.0 - lo
             put(name, lo, hi)
 
-        for name in ("p_x", "p_xp", "p_y", "p_yp"):
-            subset(name, *QUANTITY_ATOMS[name])
-
-        if assumptions is not None:
-            for name, comp in (("p_x", "p_xp"), ("p_xp", "p_x"), ("p_y", "p_yp"), ("p_yp", "p_y")):
-                ub = getattr(assumptions, f"{name}_max")
-                if ub is None:
-                    continue
-                cur = iv[name]
-                put(name, cur.lo, min(cur.hi, ub))
-                cur = iv[comp]
-                put(comp, max(cur.lo, 1.0 - ub), cur.hi)
-                # a marginal bound also caps its member cells
-                for cell in QUANTITY_ATOMS[name]:
-                    cur = iv[cell]
-                    put(cell, cur.lo, min(cur.hi, ub))
+        for field, ub in present_atoms(assumptions).items():
+            name = field.removesuffix("_max")
+            comp = COMPLEMENTS[name]
+            cur = iv[name]
+            put(name, cur.lo, min(cur.hi, ub))
+            cur = iv[comp]
+            put(comp, max(cur.lo, 1.0 - ub), cur.hi)
+            # a marginal bound also caps its member cells
+            for cell in QUANTITY_ATOMS[name]:
+                cur = iv[cell]
+                put(cell, cur.lo, min(cur.hi, ub))
 
         self._iv = iv
 

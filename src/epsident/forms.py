@@ -77,11 +77,21 @@ QUANTITY_ATOMS: dict[str, tuple[str, ...]] = {
     "p_xpyp": ("p_xpyp",),
 }
 
+#: complement pairs, 1 - q = COMPLEMENTS[q], in the order group() folds them
+COMPLEMENTS = {
+    "p_y_do_xp": "p_yp_do_xp", "p_y_do_x": "p_yp_do_x",
+    "p_y": "p_yp", "p_yp": "p_y", "p_x": "p_xp", "p_xp": "p_x",
+}
+
+#: quantities valued one minus the sum of their atoms: P(y'_t) = 1 - P(y_t)
+ONE_MINUS = frozenset(COMPLEMENTS[arm] for arm in EXP_ATOMS)
+
+
 def quantity_from_atoms(name: str, atoms: Mapping[str, float]) -> float:
     """Value of a named quantity given all its primitive atoms (KeyError if absent):
     the sum of its atoms, or one minus that for a complement P(y'_t)."""
     total = sum(atoms[atom] for atom in QUANTITY_ATOMS[name])
-    return 1.0 - total if name.startswith("p_yp_do_") else total
+    return 1.0 - total if name in ONE_MINUS else total
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,23 +199,14 @@ def group(form: LinearForm) -> GroupedExpr:
     terms = {name: coefs.pop(name) for name in EXP_ATOMS}
 
     # 2. equal-coefficient cell pairs become marginals
-    for pair, marginal in (
-        (("p_xy", "p_xpy"), "p_y"),
-        (("p_xyp", "p_xpyp"), "p_yp"),
-        (("p_xy", "p_xyp"), "p_x"),
-        (("p_xpy", "p_xpyp"), "p_xp"),
-    ):
-        a, b = pair
-        if coefs[a] and coefs[a] == coefs[b]:
-            terms[marginal] = terms.get(marginal, 0.0) + coefs[a]
-            coefs[a] = coefs[b] = 0.0
+    for marginal, pair in QUANTITY_ATOMS.items():
+        if len(pair) == 2 and coefs[pair[0]] and coefs[pair[0]] == coefs[pair[1]]:
+            terms[marginal] = terms.get(marginal, 0.0) + coefs[pair[0]]
+            coefs[pair[0]] = coefs[pair[1]] = 0.0
 
     # 3. fold a constant of sign opposite to a +-1 term into its complement:
     #    1 - q = comp(q), and -1 + q = -comp(q)
-    for name, comp in (
-        ("p_y_do_xp", "p_yp_do_xp"), ("p_y_do_x", "p_yp_do_x"),
-        ("p_y", "p_yp"), ("p_yp", "p_y"), ("p_x", "p_xp"), ("p_xp", "p_x"),
-    ):
+    for name, comp in COMPLEMENTS.items():
         have = terms.get(name, 0.0)
         if have in (1.0, -1.0) and have * const <= -1.0:
             terms[comp] = terms.get(comp, 0.0) - have

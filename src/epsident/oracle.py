@@ -51,6 +51,7 @@ from .distributions import (
     present_atoms,
 )
 from .errors import Infeasible, InvalidDistribution, MissingData, Unsupported, ZeroDenominator
+from .forms import QUANTITY_ATOMS
 from .interval import Interval
 
 __all__ = [
@@ -82,10 +83,8 @@ _ROWS = {
 }
 
 _MARGINAL_ROWS = {
-    "p_x_max": _ROWS["p_xy"] + _ROWS["p_xyp"],
-    "p_xp_max": _ROWS["p_xpy"] + _ROWS["p_xpyp"],
-    "p_y_max": _ROWS["p_xy"] + _ROWS["p_xpy"],
-    "p_yp_max": _ROWS["p_xyp"] + _ROWS["p_xpyp"],
+    bound: sum(_ROWS[cell] for cell in QUANTITY_ATOMS[bound.removesuffix("_max")])
+    for bound in Assumptions.__slots__
 }
 
 _OBJECTIVES = {

@@ -19,6 +19,10 @@ MEDICINE = {
     "confounder": {"p_x": 0.84, "p_y_given_x": 0.62, "u_max": 0.01, "c": 0.8},
 }
 FLU = {"experimental": {"p_y_do_x": 0.31}, "assumptions": {"p_y_max": 0.05}}
+PARTIAL = {
+    "experimental": {"p_y_do_x": 0.2255, "p_y_do_xp": 0.5422},
+    "observational": {"p_xyp": 0.1926, "p_xpyp": 0.2420},
+}
 INCOMPATIBLE = {
     "experimental": {"p_y_do_x": 0.3},
     "observational": {"p_xy": 0.4, "p_xyp": 0.1, "p_xpy": 0.2, "p_xpyp": 0.3},
@@ -151,9 +155,30 @@ class TestEpsident:
         assert report["minimal"]["pns"]["q_star"] == pytest.approx(0.55)
         assert report["minimal"]["pn"]["eps_star"] == pytest.approx(0.125)
 
+    def test_minimal_text_names_missing_atoms(self, write, capsys):
+        # the same line as bounds prints for each quantity it cannot range
+        path = write("partial.json", PARTIAL)
+        assert main(["epsident", path, "--minimal"]) == 0
+        minimal = capsys.readouterr().out.splitlines()
+        assert main(["bounds", path]) == 0
+        assert sorted(minimal[2:]) == sorted(capsys.readouterr().out.splitlines()[2:])
+        assert "PNS         insufficient data (missing: p_xy, p_xpy)" in minimal
+
     def test_incompatible_exits_3(self, write):
         path = write("bad.json", INCOMPATIBLE)
         assert main(["epsident", path, "--eps", "0.1"]) == 3
+
+    def test_every_command_prints_one_refusal(self, write, capsys):
+        path = write("bad.json", INCOMPATIBLE)
+        errs = []
+        for extra in (["bounds"], ["epsident", "--eps", "0.1"], ["epsident", "--minimal"],
+                      ["unit-select", "--payoffs", "1", "0", "0", "0"]):
+            assert main([*extra, path]) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs == [
+            "incompatible: P(x,y) <= P(y_x) fails (0.4 > 0.3)\n"
+            "incompatible: P(y'_x) <= 1 - P(x,y) fails (0.7 > 0.6)\n"
+        ] * 4
 
     def test_nonpositive_eps_exits_2(self, write, capsys):
         path = write("running.json", RUNNING)

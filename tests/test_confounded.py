@@ -149,8 +149,16 @@ class TestGeneralRoute:
             eps_identify_effect_confounded(inp, eps=0.001)
 
     def test_c_constraint_enforced(self):
-        with pytest.raises(InvalidDistribution):
-            ConfoundedEffectInput(p_y_given_x=0.62, p_x=0.84, u_max=0.1, c=0.8)
+        for p_x, c, message in (
+            (0.84, 0.8, "c must satisfy 0 < c <= p_x - u_max = 0.74, got 0.8"),
+            (0.84, 0.740001, "c must satisfy 0 < c <= p_x - u_max = 0.74, got 0.740001"),
+            (0.84, -0.1, "c must satisfy 0 < c <= p_x - u_max = 0.74, got -0.1"),
+            (0.0, 0.8, "p_x must be positive"),
+            (0.0, None, "p_x must be positive"),
+        ):
+            with pytest.raises(InvalidDistribution) as excinfo:
+                ConfoundedEffectInput(p_y_given_x=0.62, p_x=p_x, u_max=0.1, c=c)
+            assert str(excinfo.value) == message
 
 
 class TestSimpleRoute:
@@ -176,8 +184,15 @@ class TestSandwich:
         assert iv.hi == pytest.approx(0.62 + (1 + 1 / 0.8) * 0.01)
 
     def test_requires_valid_slack(self):
-        with pytest.raises(InvalidDistribution):
-            effect_sandwich(0.62, 0.84, 0.2, c=0.8)
+        for p_x, c, message in (
+            (0.84, 0.8, "c must satisfy 0 < c <= p_x - p_u = 0.64, got 0.8"),
+            (0.84, 0.640001, "c must satisfy 0 < c <= p_x - p_u = 0.64, got 0.640001"),
+            (0.84, 0, "c must satisfy 0 < c <= p_x - p_u = 0.64, got 0"),
+            (0.0, 0.8, "p_x must be positive"),
+        ):
+            with pytest.raises(InvalidDistribution) as excinfo:
+                effect_sandwich(0.62, p_x, 0.2, c=c)
+            assert str(excinfo.value) == message
 
     def test_holds_over_grid_models(self):
         u_values = np.linspace(0.0, 0.1, 5)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsident import (
@@ -37,7 +37,76 @@ from epsident.engine import (
     eps_identify,
 )
 from epsident.errors import EpsidentError, MissingData
-from epsident.forms import QUANTITIES
+from epsident.forms import QUANTITIES, QUANTITY_LABELS
+from epsident.interval import Interval
+
+
+def _reference_ranges(exp=None, obs=None, assumptions=None) -> dict[str, Interval]:
+    """Every quantity's interval, computed by direct reads of each arm, cell
+    and marginal: the reference :class:`QuantityRanges` must reproduce bit
+    for bit."""
+    iv: dict[str, Interval] = {}
+
+    def put(name: str, lo: float, hi: float) -> None:
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+        if lo > hi + get_tolerance():
+            raise Incompatible(
+                [f"{QUANTITY_LABELS[name]} constrained to empty range [{lo:.6g}, {hi:.6g}]"]
+            )
+        iv[name] = Interval(min(lo, hi), hi)
+
+    for name, comp in (("p_y_do_x", "p_yp_do_x"), ("p_y_do_xp", "p_yp_do_xp")):
+        v = getattr(exp, name) if exp is not None else None
+        if v is None:
+            put(name, 0.0, 1.0)
+            put(comp, 0.0, 1.0)
+        else:
+            put(name, v, v)
+            put(comp, 1.0 - v, 1.0 - v)
+
+    cells = ("p_xy", "p_xyp", "p_xpy", "p_xpyp")
+    present = {c: (obs.cell(c) if obs is not None else None) for c in cells}
+    mass = sum(v for v in present.values() if v is not None)
+    free = max(0.0, 1.0 - mass)
+    for c in cells:
+        v = present[c]
+        if v is None:
+            put(c, 0.0, free if obs is not None else 1.0)
+        else:
+            put(c, v, v)
+
+    def subset(name: str, a: str, b: str) -> None:
+        va, vb = present[a], present[b]
+        lo = (va or 0.0) + (vb or 0.0)
+        hi = lo + (free if (va is None or vb is None) else 0.0)
+        if obs is None:
+            lo, hi = 0.0, 1.0
+        put(name, lo, hi)
+
+    subset("p_x", "p_xy", "p_xyp")
+    subset("p_xp", "p_xpy", "p_xpyp")
+    subset("p_y", "p_xy", "p_xpy")
+    subset("p_yp", "p_xyp", "p_xpyp")
+
+    if assumptions is not None:
+        for name, comp, members in (
+            ("p_x", "p_xp", ("p_xy", "p_xyp")),
+            ("p_xp", "p_x", ("p_xpy", "p_xpyp")),
+            ("p_y", "p_yp", ("p_xy", "p_xpy")),
+            ("p_yp", "p_y", ("p_xyp", "p_xpyp")),
+        ):
+            ub = getattr(assumptions, f"{name}_max")
+            if ub is None:
+                continue
+            cur = iv[name]
+            put(name, cur.lo, min(cur.hi, ub))
+            cur = iv[comp]
+            put(comp, max(cur.lo, 1.0 - ub), cur.hi)
+            # a marginal bound also caps its member cells
+            for cell in members:
+                cur = iv[cell]
+                put(cell, cur.lo, min(cur.hi, ub))
+    return iv
 
 
 def _reference_scan(quantity, exp=None, obs=None, eps=0.0, assumptions=None) -> EpsReport:
@@ -403,6 +472,57 @@ def datasets(draw):
         arm = draw(st.sampled_from(("p_y_do_x", "p_y_do_xp")))
         exp, obs = ExperimentalDistribution(**{arm: getattr(exp, arm)}), None
     return exp, obs, assumptions
+
+
+_UNIT = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def range_inputs(draw):
+    """Data in any of the four forms: each arm absent, 0, 1 or free; a full
+    joint, some cells, zero cells or no joint; and no bounds, or each bound
+    absent, 0, 1 or free, which lets bounds contradict each other and the
+    data."""
+    maybe = st.one_of(st.none(), _UNIT)
+    exp = ExperimentalDistribution(draw(maybe), draw(maybe))
+    weights = [draw(_UNIT) for _ in range(5)]
+    cells = draw(st.lists(st.sampled_from(ObservationalDistribution.__slots__), unique=True))
+    if draw(st.booleans()):
+        obs = None
+    elif len(cells) == 4 and sum(weights[:4]) > 0.0:
+        obs = ObservationalDistribution(*(w / sum(weights[:4]) for w in weights[:4]))
+    else:
+        total = sum(weights) or 1.0
+        obs = ObservationalDistribution(**{c: w / total for c, w in zip(cells[:3], weights)})
+    assumptions = None
+    if draw(st.booleans()):
+        assumptions = Assumptions(*(draw(maybe) for _ in Assumptions.__slots__))
+    return exp, obs, assumptions
+
+
+class TestQuantityRanges:
+    @pytest.mark.parametrize("tol", [None, 0.05])
+    @settings(max_examples=500)
+    @given(data=range_inputs())
+    def test_matches_reference_ranges(self, tol, data):
+        # every interval bit for bit, or the same refusal, under the default
+        # tolerance and under a changed one
+        exp, obs, assumptions = data
+        before = get_tolerance()
+        try:
+            if tol is not None:
+                set_tolerance(tol)
+            expected = _outcome(_reference_ranges, exp, obs, assumptions)
+            got = _outcome(QuantityRanges, exp, obs, assumptions)
+        finally:
+            set_tolerance(before)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert isinstance(got, QuantityRanges)
+            assert {name: (got.interval(name).lo.hex(), got.interval(name).hi.hex())
+                    for name in QUANTITIES} == {
+                name: (iv.lo.hex(), iv.hi.hex()) for name, iv in expected.items()}
 
 
 class TestEpsFreeProfile:
