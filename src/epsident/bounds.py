@@ -115,7 +115,7 @@ def causal_effect_bounds(
     raise InvalidDistribution(f"treatment/outcome must be x|x', y|y', got {key!r}")
 
 
-def effect_bounds(obs: ObservationalDistribution, variant: str) -> Interval:
+def effect_bounds(obs: ObservationalDistribution | None, variant: str) -> Interval:
     """:func:`causal_effect_bounds` addressed by variant token (see EFFECT_VARIANTS)."""
     if variant not in EFFECTS:
         raise InvalidDistribution(f"unknown effect variant {variant!r}")

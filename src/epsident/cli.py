@@ -131,8 +131,7 @@ def cmd_bounds(args) -> int:
     effects = {}
     for variant in bounds_mod.EFFECT_VARIANTS:
         try:
-            effects[variant] = _interval_dict(bounds_mod.effect_bounds(data.observational, variant)) \
-                if data.observational is not None else {"status": "insufficient data", "missing": ["observational"]}
+            effects[variant] = _interval_dict(bounds_mod.effect_bounds(data.observational, variant))
         except MissingData as exc:
             effects[variant] = {"status": "insufficient data", "missing": list(exc.missing)}
 

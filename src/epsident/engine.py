@@ -18,6 +18,9 @@ not-evaluated records; its ``at(eps)`` compares the premise values with
 ``2*eps*den`` and builds the report.  Profiles and ranges sit in small
 bounded caches keyed by the (frozen, hashable) records and the tolerance,
 so a sweep over radii pays for one scan; a refusal is raised, never cached.
+Which entries a dataset evaluates, and the records of those it cannot,
+depend only on its pattern of informative and exact quantities: a plan per
+target and pattern holds them, so each profile only does its arithmetic.
 """
 
 from __future__ import annotations
@@ -282,6 +285,49 @@ class _Profile:
         )
 
 
+def _pattern(ranges: QuantityRanges) -> tuple[tuple[bool, bool], ...]:
+    """What one dataset says of each quantity, in :data:`QUANTITIES` order:
+    whether it is informative and whether it is exact, under the tolerance
+    in force.  This alone decides which catalog entries the data evaluate."""
+    return tuple((ranges.informative(name), ranges.exact(name) is not None) for name in QUANTITIES)
+
+
+# One plan per target and data pattern: the four forms of data (full,
+# partial joint, asserted bounds, one arm) give about 120 plans between
+# them, some 2 kB each, so all of them stay.
+_PLAN_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(quantity: str, pattern: tuple[tuple[bool, bool], ...]):
+    """The catalog scan of one target as far as the data pattern decides it:
+    each entry to evaluate as (index, premise terms, center terms, the rest
+    of its profile row), and the shared not-evaluated records."""
+    target = catalog.target(quantity)
+    informative = {name: flag for name, (flag, _) in zip(QUANTITIES, pattern)}
+    exact = {name: flag for name, (_, flag) in zip(QUANTITIES, pattern)}
+    denominator = target.denominator
+    evaluate = []
+    skipped: list[NotEvaluated] = []
+    for index, entry in enumerate(target.entries):
+        missing: list[str] = []
+        if denominator is not None and not exact[denominator]:
+            missing.append(denominator)
+        missing.extend(name for _, name in entry.premise.terms if not informative[name])
+        missing.extend(name for _, name in entry.center.terms if not exact[name])
+        if missing:
+            ordered = sorted(set(missing), key=QUANTITIES.index)
+            skipped.append(
+                NotEvaluated(entry.entry_id, entry.premise_label, entry.center_label, tuple(ordered))
+            )
+            continue
+        evaluate.append((index, entry.premise.terms, entry.center.terms, (
+            entry.center_sign, entry.entry_id, entry.premise_label, entry.threshold_label,
+            entry.center_label,
+        )))
+    return tuple(evaluate), tuple(skipped)
+
+
 @lru_cache(maxsize=_SCAN_CACHE_SIZE)
 def _profile(quantity: str, exp, obs, assumptions, tol: float) -> _Profile:
     """Build the eps-free scan of one target on one dataset, making the
@@ -295,31 +341,12 @@ def _profile(quantity: str, exp, obs, assumptions, tol: float) -> _Profile:
     refuse_incompatible(exp, obs)
     den = den_value if den_value is not None else 1.0
 
-    evaluated = []
-    skipped: list[NotEvaluated] = []
-    for index, entry in enumerate(target.entries):
-        missing: list[str] = []
-        if denominator is not None and den_value is None:
-            missing.append(denominator)
-        missing.extend(
-            name for _, name in entry.premise.terms if not ranges.informative(name)
-        )
-        center_value = ranges.exact_value(entry.center.terms)
-        if center_value is None:
-            missing.extend(
-                name for _, name in entry.center.terms if ranges.exact(name) is None
-            )
-        if missing:
-            ordered = sorted(set(missing), key=QUANTITIES.index)
-            skipped.append(
-                NotEvaluated(entry.entry_id, entry.premise_label, entry.center_label, tuple(ordered))
-            )
-            continue
-        evaluated.append((
-            index, ranges.upper_value(entry.premise.terms), center_value / den, entry.center_sign,
-            entry.entry_id, entry.premise_label, entry.threshold_label, entry.center_label,
-        ))
-    return _Profile(quantity, exp, obs, den, tol, tuple(evaluated), tuple(skipped))
+    plan, skipped = _plan(quantity, _pattern(ranges))
+    evaluated = tuple(
+        (index, ranges.upper_value(premise), ranges.exact_value(center) / den, *rest)
+        for index, premise, center, rest in plan
+    )
+    return _Profile(quantity, exp, obs, den, tol, evaluated, skipped)
 
 
 def eps_identify(

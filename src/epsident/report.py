@@ -13,12 +13,20 @@ normalized copy of the report: strings and keys go through the C
 ensure_ascii=True) + "\\n"`` byte for byte and a report with one fault
 raises the same ``ValueError``.  (``indent`` would put ``json.dumps`` on its
 pure-Python encoder, after a full normalized copy.)
+
+Work that depends only on a shape is done once: a dict's key lines (sorted,
+encoded, indented) are cached per key tuple and depth, and each render
+memoizes the text of every float it has written, since a report repeats
+the same values across radii.  Plain ``str``, ``float`` and ``None`` values
+are written inside their container's loop; every other value takes the
+``isinstance`` chain, so subclasses and faults behave as before.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
 
 __all__ = ["canonicalize", "render_json", "parse_json"]
@@ -48,12 +56,36 @@ def canonicalize(obj):
     raise ValueError(f"unsupported report value type: {type(obj).__name__}")
 
 
-def _emit(obj, append, newline: str) -> None:
-    """Append the canonical JSON of ``obj``; ``newline`` opens a line at its depth.
+# One entry per dict shape (its keys in insertion order, at one depth); a
+# report has a few dozen shapes, so this holds several kinds of report.
+_KEY_LINES_CACHE_SIZE = 256
 
-    A module-level function rather than a closure inside render_json: a
-    closure that calls itself is a reference cycle, which would keep each
-    call's parts alive until the garbage collector ran.
+
+@lru_cache(maxsize=_KEY_LINES_CACHE_SIZE)
+def _key_lines(keys: tuple[str, ...], newline: str) -> tuple[tuple[int, str], ...]:
+    """A dict's line heads in sorted key order, each with its key's position
+    in ``keys``: ``"{" + inner + key + ": "`` for the first, then ``","``."""
+    inner = newline + "  "
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return tuple(
+        (i, ("," if n else "{") + inner + _encode_str(keys[i]) + ": ") for n, i in enumerate(order)
+    )
+
+
+def _float_text(value: float, floats: dict) -> str:
+    text = floats[value] = float.__repr__(_canon_float(value))
+    return text
+
+
+def _emit(obj, append, newline: str, floats: dict) -> None:
+    """Append the canonical JSON of ``obj``; ``newline`` opens a line at its
+    depth and ``floats`` maps each float already written to its text.
+
+    The containers write plain ``str``, ``float``, ``None``, ``dict``,
+    ``list`` and ``tuple`` values themselves; this takes the report itself
+    and every other value.  Module-level functions rather than closures
+    inside render_json: a closure that calls itself is a reference cycle,
+    which would keep each call's parts alive until the garbage collector ran.
     """
     if isinstance(obj, str):
         append(_encode_str(obj))
@@ -68,38 +100,78 @@ def _emit(obj, append, newline: str) -> None:
     elif isinstance(obj, int):
         append(int.__repr__(obj))
     elif isinstance(obj, dict):
-        for key in obj:
-            if not isinstance(key, str):
-                bad = [k for k in obj if not isinstance(k, str)]
-                raise ValueError(f"report keys must be strings, got {bad!r}")
-        if not obj:
-            append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            append(sep + _encode_str(key) + ": ")
-            _emit(obj[key], append, inner)
-            sep = "," + inner
-        append(newline + "}")
+        _emit_dict(obj, append, newline, floats)
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for value in obj:
-            append(sep)
-            _emit(value, append, inner)
-            sep = "," + inner
-        append(newline + "]")
+        _emit_list(obj, append, newline, floats)
     else:
         raise ValueError(f"unsupported report value type: {type(obj).__name__}")
 
 
+def _emit_dict(obj: dict, append, newline: str, floats: dict) -> None:
+    keys = (*obj,)
+    if not keys:
+        append("{}")
+        return
+    # join refuses any key that is not a str, before the cache could match
+    # it to an equal str key
+    try:
+        "".join(keys)
+    except TypeError:
+        bad = [k for k in keys if not isinstance(k, str)]
+        raise ValueError(f"report keys must be strings, got {bad!r}") from None
+    values = (*obj.values(),)
+    inner = newline + "  "
+    for i, head in _key_lines(keys, newline):
+        value = values[i]
+        kind = type(value)
+        if kind is str:
+            append(head + _encode_str(value))
+        elif kind is float:
+            append(head + (floats.get(value) or _float_text(value, floats)))
+        elif value is None:
+            append(head + "null")
+        elif kind is dict:
+            append(head)
+            _emit_dict(value, append, inner, floats)
+        elif kind is list or kind is tuple:
+            append(head)
+            _emit_list(value, append, inner, floats)
+        else:
+            append(head)
+            _emit(value, append, inner, floats)
+    append(newline + "}")
+
+
+def _emit_list(obj, append, newline: str, floats: dict) -> None:
+    if not obj:
+        append("[]")
+        return
+    inner = newline + "  "
+    head, comma = "[" + inner, "," + inner
+    for value in obj:
+        kind = type(value)
+        if kind is str:
+            append(head + _encode_str(value))
+        elif kind is float:
+            append(head + (floats.get(value) or _float_text(value, floats)))
+        elif value is None:
+            append(head + "null")
+        elif kind is dict:
+            append(head)
+            _emit_dict(value, append, inner, floats)
+        elif kind is list or kind is tuple:
+            append(head)
+            _emit_list(value, append, inner, floats)
+        else:
+            append(head)
+            _emit(value, append, inner, floats)
+        head = comma
+    append(newline + "]")
+
+
 def render_json(report: dict) -> str:
     parts: list[str] = []
-    _emit(report, parts.append, "\n")
+    _emit(report, parts.append, "\n", {})
     parts.append("\n")
     return "".join(parts)
 

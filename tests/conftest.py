@@ -7,7 +7,7 @@ from epsident import (
     StudyCounts,
     from_counts,
 )
-from epsident import engine
+from epsident import engine, report
 
 # every property draws the same examples on every run: the seed is a hash of
 # the test, so a failure reproduces without an example database
@@ -17,10 +17,13 @@ settings.load_profile("seeded")
 
 @pytest.fixture(autouse=True)
 def _cold_scan_caches():
-    """Start every test with empty scan caches, so that counts of the work a
-    scan does never depend on which tests ran before."""
+    """Start every test with empty scan, plan and key-line caches, so that
+    counts of the work a scan or a render does never depend on which tests
+    ran before."""
     engine._profile.cache_clear()
     engine._ranges.cache_clear()
+    engine._plan.cache_clear()
+    report._key_lines.cache_clear()
 
 
 @pytest.fixture()

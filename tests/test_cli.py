@@ -4,10 +4,19 @@ import re
 
 import pytest
 
-from epsident import ExperimentalDistribution, Interval, ObservationalDistribution, eps_identify_pns
+from epsident import (
+    EpsidentError,
+    ExperimentalDistribution,
+    Interval,
+    ObservationalDistribution,
+    QuantityRanges,
+    eps_identify_pns,
+    sample_joint,
+)
 from epsident import bounds, cli, distributions, engine, oracle
 from epsident.cli import main
 from epsident.config import DEFAULT_TOLERANCE, set_tolerance
+from epsident.forms import QUANTITIES
 from epsident.report import parse_json, render_json
 
 RUNNING = {
@@ -102,6 +111,26 @@ class TestBounds:
     def test_csv_requires_kind(self, write):
         path = write("table1.csv", TABLE1_CSV)
         assert main(["bounds", path]) == 2
+
+    def test_effects_without_a_joint_name_the_cells(self, write, capsys):
+        # bounds and epsident --minimal print the same missing list for each
+        # effect, in text and in JSON: the cells, not the absent section
+        path = write("flu.json", FLU)
+        assert main(["bounds", path, "--json"]) == 0
+        bounds_json = parse_json(capsys.readouterr().out)["bounds"]["effects"]
+        assert main(["epsident", path, "--minimal", "--json"]) == 0
+        minimal_json = parse_json(capsys.readouterr().out)["minimal"]
+        assert main(["bounds", path]) == 0
+        bounds_text = capsys.readouterr().out.splitlines()
+        assert main(["epsident", path, "--minimal"]) == 0
+        minimal_text = capsys.readouterr().out.splitlines()
+        for variant, label in (("y_x", "P(y_x)"), ("yp_x", "P(y'_x)"),
+                               ("y_xp", "P(y_{x'})"), ("yp_xp", "P(y'_{x'})")):
+            assert bounds_json[variant] == minimal_json[variant]
+            assert bounds_json[variant]["status"] == "insufficient data"
+            line = f"{label:11s} insufficient data (missing: {', '.join(bounds_json[variant]['missing'])})"
+            assert line in bounds_text and line in minimal_text
+        assert bounds_json["y_x"]["missing"] == ["p_xy", "p_xyp"]
 
 
 class TestEpsident:
@@ -424,6 +453,33 @@ class TestRepeatedWork:
                 engine.eps_identify(name, exp, obs, eps)
         assert len(ranges) == 1
         assert len(compat) == 3
+
+    @pytest.mark.parametrize("form", ["full", "partial"])
+    def test_sweep_plans_each_pattern_once(self, form):
+        # which entries a dataset evaluates depends only on its pattern of
+        # informative and exact quantities, so 50 full joints share one plan
+        # per target; partial joints need one per (target, pattern)
+        patterns = set()
+        for seed in range(50):
+            scenario = sample_joint(seed)
+            exp, obs = scenario.experimental, scenario.observational
+            if form == "partial":
+                kept = [c for i, c in enumerate(obs.__slots__) if i != seed % 4 and i != seed % 3]
+                obs = ObservationalDistribution(**{c: obs.cell(c) for c in kept})
+            ranges = QuantityRanges(exp, obs)
+            pattern = tuple((ranges.informative(n), ranges.exact(n) is not None) for n in QUANTITIES)
+            for name in ("pns", "pn", "ps"):
+                try:
+                    for eps in cli.EPS_SWEEP:
+                        engine.eps_identify(name, exp, obs, eps)
+                except EpsidentError:
+                    continue
+                patterns.add((name, pattern))
+        assert engine._plan.cache_info().misses == len(patterns)
+        if form == "full":
+            assert len(patterns) == 3
+        else:
+            assert len(patterns) > 3
 
 
 class TestReportContract:

@@ -24,7 +24,7 @@ from epsident import (
     pns_bounds,
     sample_joint,
 )
-from epsident import catalog
+from epsident import catalog, engine
 from epsident.bounds import bound_arguments, refuse_incompatible, tight_interval
 from epsident.cli import EPS_SWEEP
 from epsident.config import get_tolerance, set_tolerance
@@ -569,6 +569,22 @@ class TestEpsFreeProfile:
         assert "y_x" in default[1].results and "y_x" in loose[1].skipped
         assert scans(eps_identify, eps_identify_effects) == default
 
+
+    def test_one_plan_serves_datasets_of_one_pattern(self):
+        # two full joints share every target's plan, yet their premise values
+        # and centers differ exactly as the reference scan's do
+        scenarios = [sample_joint(seed) for seed in (3, 4)]
+        for eps in (0.1, 0.5, 1.0):
+            for quantity in catalog.TARGETS:
+                got, expected = (
+                    [scan(quantity, s.experimental, s.observational, eps) for s in scenarios]
+                    for scan in (eps_identify, _reference_scan)
+                )
+                assert got == expected
+                if eps == 1.0:
+                    first, second = ([(f.condition.premise_value, f.q) for f in r.fired] for r in got)
+                    assert first and second and first != second
+        assert engine._plan.cache_info().misses == len(catalog.TARGETS)
 
     def test_signed_zero_inputs_share_one_profile(self):
         # 0.0 and -0.0 compare equal, so they must be stored alike: the scan

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epsident
+from epsident import report as report_module
 from epsident.report import canonicalize, parse_json, render_json
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -64,6 +65,29 @@ values = st.recursive(
 )
 FAULTS = [math.inf, -math.inf, math.nan, Float("inf"), set(), frozenset(), b"x", bytearray(),
           object(), complex(1, 0), {1: "x"}, {"a": 1, 2: "b", None: 0}]
+
+
+def cold_and_warm(report) -> list[str]:
+    """The report rendered with an empty key-line cache, then again with its
+    shapes cached."""
+    report_module._key_lines.cache_clear()
+    return [render_json(report), render_json(report)]
+
+
+class Alias:
+    """Not a str, yet hashes and compares equal to one."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __eq__(self, other):
+        return other == self.text
+
+    def __repr__(self):
+        return f"Alias({self.text!r})"
 
 
 def raised(render, report) -> tuple[type, str]:
@@ -129,12 +153,12 @@ class TestMatchesReference:
     @given(values)
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_byte_identical(self, report):
-        assert render_json(report) == reference_render(report)
+        assert cold_and_warm(report) == [reference_render(report)] * 2
 
     @pytest.mark.parametrize("report", [{}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], 0, "",
                                         {"e": -0.0, "f": 0.1 + 0.2, "g": 2**70}])
     def test_edge_values(self, report):
-        assert render_json(report) == reference_render(report)
+        assert cold_and_warm(report) == [reference_render(report)] * 2
 
     def test_perfbench_reports(self, monkeypatch):
         # the certify_mix workload's reports: whole studies, refusals included
@@ -147,8 +171,43 @@ class TestMatchesReference:
             for study in studies.make_round(7, index, with_refusal=True):
                 workloads.certify(layers, study)
         assert len(reports) == 12 * 9
-        for report in reports:
+        expected = [reference_render(report) for report in reports]
+        report_module._key_lines.cache_clear()
+        assert [render_json(report) for report in reports] == expected
+        cold = report_module._key_lines.cache_info()
+        assert [render_json(report) for report in reports] == expected
+        assert report_module._key_lines.cache_info().misses == cold.misses
+
+    def test_one_key_set_in_two_orders_at_three_depths(self):
+        # each insertion order at each depth is its own shape, and every one
+        # of them is written in sorted key order
+        ab, ba = {"a": 0.5, "b": "x"}, {"b": "x", "a": 0.5}
+        report = {"a": ab, "b": ba, "c": [ab, ba, {"d": [ab, ba]}]}
+        assert cold_and_warm(report) == [reference_render(report)] * 2
+        # the report itself, ("d",), and both orders at each of three depths
+        assert report_module._key_lines.cache_info().currsize == 2 + 2 * 3
+
+    def test_subclass_values_under_a_cached_shape(self):
+        plain = {"a": 1.25, "b": "x", "c": 2, "d": [0.5, "y", None]}
+        subclassed = {"a": Float(2.5), "b": Str("z"), "c": Int(7), "d": [Float(0.5), Str("y"), Int(1)]}
+        for report in (plain, subclassed, {Str("a"): Float(0.1), "b": 1, "c": Int(0), "d": []}):
             assert render_json(report) == reference_render(report)
+        assert report_module._key_lines.cache_info().hits >= 2
+
+    def test_signed_zero_and_nan_after_cached_floats(self):
+        report = {"a": [-0.0, 0.0, -0.0], "b": 0.0, "c": -0.0, "d": [0.0, -0.0]}
+        assert render_json(report) == reference_render(report)
+        faulty = {"a": [0.25, 0.5, 0.25], "b": [0.5, 0.25, math.nan]}
+        assert raised(render_json, faulty) == raised(reference_render, faulty)
+
+    def test_key_line_cache_stays_bounded(self):
+        size = report_module._KEY_LINES_CACHE_SIZE
+        for i in range(10 * size):
+            report = {f"k{i}": i / 7, "rows": [{f"r{i % 3}": None, "s": [i]}]}
+            assert render_json(report) == reference_render(report)
+        info = report_module._key_lines.cache_info()
+        assert info.maxsize == size
+        assert info.currsize <= size
 
 
 class TestErrorParity:
@@ -165,6 +224,14 @@ class TestErrorParity:
         report = {"z": {"y": [bad_keys], "a": 1.0}, "a": "first"}
         assert raised(render_json, report) == raised(reference_render, report)
         assert raised(render_json, report)[1].startswith("report keys must be strings, got [")
+
+    def test_non_str_key_equal_to_a_cached_key(self):
+        # the alias matches the cached key tuple, so only its type can tell
+        assert (Alias("a"), "b") == ("a", "b")
+        assert render_json({"a": 1.0, "b": 2.0}) == reference_render({"a": 1.0, "b": 2.0})
+        report = {Alias("a"): 1.0, "b": 2.0}
+        assert raised(render_json, report) == raised(reference_render, report)
+        assert raised(render_json, report)[1] == "report keys must be strings, got [Alias('a')]"
 
     # a bare object's repr carries its address, so it gets a fixed test id
     @pytest.mark.parametrize(
