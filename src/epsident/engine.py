@@ -145,6 +145,15 @@ class QuantityRanges:
         r = self._iv[name]
         return r.lo > get_tolerance() or r.hi < 1.0 - get_tolerance() or r.width <= _EXACT
 
+    @cached_property
+    def _pattern(self) -> tuple[tuple[bool, bool], ...]:
+        """What the dataset says of each quantity, in :data:`QUANTITIES` order:
+        whether it is informative and whether it is exact.  This alone decides
+        which catalog entries the data evaluate.  It is read once, under the
+        tolerance in force then; :func:`_ranges` keys its cache by tolerance,
+        so every target's profile of one dataset shares it."""
+        return tuple((self.informative(name), self.exact(name) is not None) for name in QUANTITIES)
+
     def upper_value(self, terms) -> float:
         """Largest possible value of a signed sum of quantities (conservative:
         treats quantities as independent, which can only loosen, never break,
@@ -285,13 +294,6 @@ class _Profile:
         )
 
 
-def _pattern(ranges: QuantityRanges) -> tuple[tuple[bool, bool], ...]:
-    """What one dataset says of each quantity, in :data:`QUANTITIES` order:
-    whether it is informative and whether it is exact, under the tolerance
-    in force.  This alone decides which catalog entries the data evaluate."""
-    return tuple((ranges.informative(name), ranges.exact(name) is not None) for name in QUANTITIES)
-
-
 # One plan per target and data pattern: the four forms of data (full,
 # partial joint, asserted bounds, one arm) give about 120 plans between
 # them, some 2 kB each, so all of them stay.
@@ -341,7 +343,7 @@ def _profile(quantity: str, exp, obs, assumptions, tol: float) -> _Profile:
     refuse_incompatible(exp, obs)
     den = den_value if den_value is not None else 1.0
 
-    plan, skipped = _plan(quantity, _pattern(ranges))
+    plan, skipped = _plan(quantity, ranges._pattern)
     evaluated = tuple(
         (index, ranges.upper_value(premise), ranges.exact_value(center) / den, *rest)
         for index, premise, center, rest in plan

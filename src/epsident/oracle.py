@@ -21,11 +21,12 @@ and float data, accurate to machine precision.  That exactness is what the
 bound-tightness tests lean on.
 
 The constraint matrix depends only on which data atoms are present, not on
-their values.  So each atom pattern (at most 2**10 - 1 of them) is
-row-reduced once, together with the map that carries a right-hand side
-through the same row operations, and its nonsingular bases are listed once;
-both are cached.  A call then only checks the data against the dependent
-rows and solves every basis at once in one batched ``np.linalg.solve``.
+their values, and every basic solution is a fixed linear function of the
+right-hand side.  So each atom pattern (at most 2**10 - 1 of them) is
+row-reduced and its nonsingular bases are inverted once, into one cached map
+from the data to every basic solution.  A call then only checks the data
+against the dependent rows, applies that map in one matrix-vector product
+and keeps the distinct feasible solutions.
 
 The confounder graph U -> X, U -> Y, X -> Y has its own oracle,
 :func:`confounded_effect_range`: the exact range of P(y_x) in closed form,
@@ -243,14 +244,16 @@ class _PatternSystem(NamedTuple):
     """The part of the equality system fixed by which atoms are present."""
 
     A: np.ndarray  # rows: sum-to-one, then one per atom; columns: 8 cells, then slacks
-    Ared: np.ndarray  # independent rows of the row-reduced A
-    T: np.ndarray  # bred = T @ b
     N: np.ndarray  # data are consistent when |N @ b| <= _CONSISTENCY_TOL
-    bases: np.ndarray  # (k, rank) column sets with a nonsingular basis matrix
+    P: np.ndarray  # (P @ b).reshape(k, n): every basic solution, zero off its basis
 
 
-# keyed by the present atom names, so at most 2**10 - 1 = 1023 entries
-@lru_cache(maxsize=None)
+# The benchmark's traffic visits 41 patterns, about 1 MB of maps; all 1023
+# patterns would hold about 24 MB.
+_PATTERN_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_PATTERN_CACHE_SIZE)
 def _pattern_system(names: tuple[str, ...]) -> _PatternSystem:
     n_slack = sum(name in _MARGINAL_ROWS for name in names)
     A = np.zeros((len(names) + 1, _N + n_slack))
@@ -265,14 +268,15 @@ def _pattern_system(names: tuple[str, ...]) -> _PatternSystem:
             slack += 1
     Ared, T, N = _row_reduce(A)
     r, n = Ared.shape
-    bases = []
-    for cols in combinations(range(n), r):
-        try:
-            np.linalg.solve(Ared[:, cols], np.zeros(r))
-        except np.linalg.LinAlgError:
-            continue
-        bases.append(cols)
-    system = _PatternSystem(A, Ared, T, N, np.array(bases, dtype=np.intp).reshape(-1, r))
+    bases = np.array(list(combinations(range(n), r)), dtype=np.intp)
+    B = Ared[:, bases].transpose(1, 0, 2)
+    # an exactly zero LU determinant is where np.linalg.solve would refuse the basis
+    nonsingular = np.linalg.det(B) != 0.0
+    bases, B = bases[nonsingular], B[nonsingular]
+    k = len(bases)
+    P = np.zeros((k, n, len(A)))
+    P[np.arange(k)[:, None], bases] = np.linalg.inv(B) @ T
+    system = _PatternSystem(A, N, P.reshape(k * n, len(A)))
     for arr in system:
         arr.flags.writeable = False
     return system
@@ -294,21 +298,16 @@ def feasible_vertices(
     b = np.array([1.0, *values])
     if system.N.size and np.abs(system.N @ b).max() > _CONSISTENCY_TOL:
         raise Infeasible("supplied data atoms are mutually inconsistent")
-    bases = system.bases
-    k, n = len(bases), system.A.shape[1]
-    # B[j] = Ared[:, bases[j]]: one basis matrix per candidate column set
-    B = system.Ared[:, bases].transpose(1, 0, 2)
-    bred = system.T @ b
-    sol = np.linalg.solve(B, np.broadcast_to(bred[:, None], (k, len(bred), 1)))[..., 0]
-    Q = np.zeros((k, n))
-    np.put_along_axis(Q, bases, sol, axis=1)
+    Q = (system.P @ b).reshape(-1, system.A.shape[1])
     # negated tests, so a NaN coordinate passes them as it did the per-basis loop
-    keep = ~(sol.min(axis=1) < -_NONNEG_TOL)
+    keep = ~(Q.min(axis=1) < -_NONNEG_TOL)
     keep &= ~(np.abs(Q @ system.A.T - b).max(axis=1) > _RESIDUAL_TOL)
     if not keep.any():
         raise Infeasible("no response-type joint matches the supplied data")
-    verts = np.clip(Q[keep, :_N], 0.0, None)
-    return np.unique(np.round(verts, 12), axis=0)
+    rows = np.round(np.clip(Q[keep, :_N], 0.0, None), 12)
+    # distinct rows in lexicographic order; clip made every -0.0 +0.0, so the
+    # bits of a row never depend on which of its duplicates the set kept
+    return np.array(sorted(set(map(tuple, rows.tolist()))))
 
 
 def feasible_range(

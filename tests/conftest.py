@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -17,13 +19,18 @@ settings.load_profile("seeded")
 
 @pytest.fixture(autouse=True)
 def _cold_scan_caches():
-    """Start every test with empty scan, plan and key-line caches, so that
-    counts of the work a scan or a render does never depend on which tests
-    ran before."""
+    """Start every test with empty scan, plan, key-line and oracle pattern
+    caches, so that counts of the work a scan, a render or the oracle does
+    never depend on which tests ran before.  The oracle's cache is cleared
+    only once something has imported it, so that this fixture never loads
+    numpy."""
     engine._profile.cache_clear()
     engine._ranges.cache_clear()
     engine._plan.cache_clear()
     report._key_lines.cache_clear()
+    oracle = sys.modules.get("epsident.oracle")
+    if oracle is not None:
+        oracle._pattern_system.cache_clear()
 
 
 @pytest.fixture()

@@ -454,6 +454,17 @@ class TestRepeatedWork:
         assert len(ranges) == 1
         assert len(compat) == 3
 
+    def test_sweep_reads_each_data_pattern_once(self, monkeypatch):
+        # pns, pn and ps share one dataset's pattern of informative and exact
+        # quantities: informative is read once per quantity, not per target
+        exp = ExperimentalDistribution(0.7, 0.3)
+        obs = ObservationalDistribution(0.4, 0.1, 0.2, 0.3)
+        informative = _count_calls(monkeypatch, [QuantityRanges], "informative")
+        for eps in cli.EPS_SWEEP:
+            for name in ("pns", "pn", "ps"):
+                engine.eps_identify(name, exp, obs, eps)
+        assert len(informative) == len(QUANTITIES)
+
     @pytest.mark.parametrize("form", ["full", "partial"])
     def test_sweep_plans_each_pattern_once(self, form):
         # which entries a dataset evaluates depends only on its pattern of

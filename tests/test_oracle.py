@@ -1,4 +1,9 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from epsident import (
     ps_bounds,
     sample_joint,
 )
-from epsident import config
+from epsident import config, oracle
 from epsident.oracle import _MARGINAL_ROWS, _N, _ROWS, ResponseTypeJoint
 
 
@@ -388,3 +393,98 @@ def test_shared_atom_pattern_gets_its_own_vertices():
     _assert_same_vertices(b, reference_vertices(*second))
     assert a.shape != b.shape or not np.allclose(a, b)
     _assert_same_vertices(feasible_vertices(*first), a)
+
+
+# ---------------------------------------------------------------------------
+# The per-pattern map: its bases against a per-column-set solve loop, and the
+# bounded cache that holds it
+# ---------------------------------------------------------------------------
+
+ALL_ATOMS = ("p_y_do_x", "p_y_do_xp", *OBS_CELLS, *_MARGINAL_ROWS)
+
+
+def _reference_bases(A):
+    """The column sets whose basis matrix np.linalg.solve accepts, in
+    itertools.combinations order."""
+    Ared = oracle._row_reduce(A)[0]
+    r, n = Ared.shape
+    bases = []
+    for cols in itertools.combinations(range(n), r):
+        try:
+            np.linalg.solve(Ared[:, cols], np.zeros(r))
+        except np.linalg.LinAlgError:
+            continue
+        bases.append(cols)
+    return bases
+
+
+def _map_bases(system):
+    """The columns each block of the map places its basic solution in.  The
+    block of a basis B is inv(B) @ T, which has full row rank, so exactly its
+    basic columns have a nonzero row."""
+    n = system.A.shape[1]
+    blocks = np.asarray(system.P).reshape(-1, n, len(system.A))
+    return [tuple(np.flatnonzero(block.any(axis=1))) for block in blocks]
+
+
+def test_batched_bases_match_reference_loop():
+    subsets = [
+        names for size in range(1, len(ALL_ATOMS) + 1)
+        for names in itertools.combinations(ALL_ATOMS, size)
+    ]
+    rng = np.random.default_rng(17)
+    sample = [subsets[i] for i in rng.choice(len(subsets), 128, replace=False)]
+    four_bounds = [names for names in subsets if set(_MARGINAL_ROWS) <= set(names)]
+    assert len(four_bounds) == 64
+    column_sets = set()
+    for names in sample + four_bounds:
+        system = oracle._pattern_system(names)
+        assert _map_bases(system) == _reference_bases(system.A)
+        column_sets.add(math.comb(system.A.shape[1], len(system.A) - len(system.N)))
+    assert max(column_sets) == 924
+
+
+def test_import_builds_no_pattern():
+    code = "import epsident.oracle as o; print(o._pattern_system.cache_info().currsize)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "0"
+
+
+def _case(names, joint):
+    """Data with the atoms ``names``, exact for ``joint``; each marginal bound
+    sits 0.1 above its margin."""
+    exp, obs = joint.experimental(), joint.observational()
+    q = joint.as_vector()
+    arms = {n: getattr(exp, n) for n in names if n in ("p_y_do_x", "p_y_do_xp")}
+    cells = {n: obs.cell(n) for n in names if n in OBS_CELLS}
+    bounds = {n: min(1.0, float(row @ q) + 0.1) for n, row in _MARGINAL_ROWS.items() if n in names}
+    return (
+        ExperimentalDistribution(**arms) if arms else None,
+        ObservationalDistribution(**cells) if cells else None,
+        Assumptions(**bounds) if bounds else None,
+    )
+
+
+def test_cache_stays_bounded_and_correct_past_its_size():
+    rng = np.random.default_rng(29)
+    joint = ResponseTypeJoint(rng.dirichlet(np.ones(8)).reshape(4, 2))
+    patterns = [
+        names for size in (2, 3, 4)
+        for names in itertools.combinations(ALL_ATOMS, size)
+    ]
+    order = rng.permutation(len(patterns))[: 2 * oracle._PATTERN_CACHE_SIZE]
+    for i in order:
+        case = _case(patterns[i], joint)
+        want = _outcome(reference_vertices, *case)
+        got = _outcome(feasible_vertices, *case)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_vertices(got, want)
+        assert oracle._pattern_system.cache_info().currsize <= oracle._PATTERN_CACHE_SIZE
+    assert oracle._pattern_system.cache_info().misses == len(order)
