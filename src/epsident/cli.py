@@ -8,6 +8,11 @@ Subcommands:
 * ``unit-select``  benefit-function identification and sign decision
 * ``verify``       oracle cross-checks on the input and on sampled models
 
+Each ``cmd_*`` function maps the parsed arguments to its report dict and
+raises to refuse; it neither prints nor returns an exit code.  ``main`` alone
+writes a report: its canonical JSON under ``--json``, else the command's text
+renderer applied to the same in-memory dict.
+
 Inputs are either the JSON schema (see :func:`epsident.parse_input_json`)
 or an ``arm,outcome,count`` CSV (with ``--kind``).  Exit codes: 0 success,
 2 parse/input error, 3 incompatible data without --force, 4 no feasible
@@ -68,12 +73,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _refuse(violations) -> int:
-    for v in violations:
-        print(f"incompatible: {v}", file=sys.stderr)
-    return EXIT_INCOMPATIBLE
-
-
 def _load_input(path: str, kind: str | None) -> InputData:
     p = Path(path)
     try:
@@ -94,10 +93,6 @@ def _load_input(path: str, kind: str | None) -> InputData:
     return parse_input_json(obj)
 
 
-def _interval_dict(interval) -> dict:
-    return {"lo": interval.lo, "hi": interval.hi}
-
-
 def _ident_dict(result) -> dict:
     if isinstance(result, EpsIdentification):
         return {"identified": True, **result.to_json_dict()}
@@ -109,11 +104,22 @@ def _ident_dict(result) -> dict:
     }
 
 
-def _emit(report: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        sys.stdout.write(render_json(report))
-    else:
-        print(text.rstrip("\n"))
+def _unavailable(exc: MissingData | ZeroDenominator) -> dict:
+    """The entry of a quantity that the data cannot range."""
+    if isinstance(exc, MissingData):
+        return {"status": "insufficient data", "missing": list(exc.missing)}
+    return {"status": "undefined", "reason": str(exc)}
+
+
+def _status_line(label: str, entry: dict) -> str:
+    """The text line of a ``bounds`` or ``epsident --minimal`` entry."""
+    if "lo" in entry:
+        return f"{label:11s} in [{entry['lo']:.6g}, {entry['hi']:.6g}]"
+    if "eps_star" in entry:
+        return f"{label:11s} eps* = {entry['eps_star']:.6g}, q* = {entry['q_star']:.6g}"
+    if entry["status"] == "insufficient data":
+        return f"{label:11s} insufficient data (missing: {', '.join(entry['missing'])})"
+    return f"{label:11s} {entry['status']}: {entry['reason']}"
 
 
 # ---------------------------------------------------------------------------
@@ -121,29 +127,27 @@ def _emit(report: dict, as_json: bool, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> dict:
     data = _load_input(args.input, args.kind)
     compat = check_compatibility(data.experimental, data.observational)
     if compat.violations and not args.force:
-        return _refuse(compat.violations)
+        raise Incompatible(compat.violations)
 
     warnings = [f"incompatible: {v}" for v in compat.violations]
     effects = {}
     for variant in bounds_mod.EFFECT_VARIANTS:
         try:
-            effects[variant] = _interval_dict(bounds_mod.effect_bounds(data.observational, variant))
+            interval = bounds_mod.effect_bounds(data.observational, variant)
+            effects[variant] = {"lo": interval.lo, "hi": interval.hi}
         except MissingData as exc:
-            effects[variant] = {"status": "insufficient data", "missing": list(exc.missing)}
+            effects[variant] = _unavailable(exc)
 
     quantities = {}
     for name in SCAN_QUANTITIES:
         try:
             arguments = bounds_mod.bound_arguments(name, data.experimental, data.observational)
-        except MissingData as exc:
-            quantities[name] = {"status": "insufficient data", "missing": list(exc.missing)}
-            continue
-        except ZeroDenominator as exc:
-            quantities[name] = {"status": "undefined", "reason": str(exc)}
+        except (MissingData, ZeroDenominator) as exc:
+            quantities[name] = _unavailable(exc)
             continue
         if compat.violations:
             quantities[name] = {"status": "refused", "reason": "incompatible data"}
@@ -163,7 +167,7 @@ def cmd_bounds(args) -> int:
             ],
         }
 
-    report = {
+    return {
         "command": "bounds",
         "inputs": data.to_json_dict(),
         "compatibility": compat.to_json_dict(),
@@ -171,19 +175,15 @@ def cmd_bounds(args) -> int:
         "bounds": {"effects": effects, **quantities},
     }
 
-    lines = ["bounds report", "============="]
-    for w in warnings:
-        lines.append(f"warning: {w}")
-    for name, entry in {**effects, **quantities}.items():
-        label = engine_mod.QUANTITY_DISPLAY[name]
-        if "lo" in entry:
-            lines.append(f"{label:11s} in [{entry['lo']:.6g}, {entry['hi']:.6g}]")
-        elif entry["status"] == "insufficient data":
-            lines.append(f"{label:11s} insufficient data (missing: {', '.join(entry['missing'])})")
-        else:
-            lines.append(f"{label:11s} {entry['status']}: {entry.get('reason', '')}")
-    _emit(report, args.json, "\n".join(lines))
-    return EXIT_OK
+
+def _bounds_text(report: dict, args) -> list[str]:
+    quantities = dict(report["bounds"])
+    entries = {**quantities.pop("effects"), **quantities}
+    return [
+        "bounds report", "=============",
+        *(f"warning: {w}" for w in report["warnings"]),
+        *(_status_line(engine_mod.QUANTITY_DISPLAY[name], entry) for name, entry in entries.items()),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -224,31 +224,26 @@ def _confounder_inputs(data: InputData, args):
     return conf_mod.ConfoundedEffectInput(p_y_given_x=p_ygx, p_x=p_x, u_max=u_max, c=c)
 
 
-def cmd_epsident(args) -> int:
+def cmd_epsident(args) -> dict:
     data = _load_input(args.input, args.kind)
     report: dict = {"command": "epsident", "inputs": data.to_json_dict(), "warnings": []}
-    lines = ["epsident report", "==============="]
 
     run_scans = args.quantity is not None or not args.confounder
     selected = args.quantity or "all"
 
     if args.confounder:
         if args.minimal:
-            return _fail("--minimal does not apply to --confounder mode", EXIT_PARSE)
+            raise ParseError("--minimal does not apply to --confounder mode")
         inp = _confounder_inputs(data, args)
         section: dict = {
             "inputs": {"p_y_given_x": inp.p_y_given_x, "p_x": inp.p_x, "u_max": inp.u_max,
                        "c": inp.c if inp.c is not None else "auto"},
         }
-        general = conf_mod.eps_identify_effect_confounded(inp, args.eps)
-        section["general"] = _ident_dict(general)
-        lines.append(_ident_text("P(y_x) [confounded]", general, args.eps))
+        section["general"] = _ident_dict(conf_mod.eps_identify_effect_confounded(inp, args.eps))
         if inp.p_x >= 0.5:
-            simple = conf_mod.eps_identify_effect_confounded_simple(
+            section["simple"] = _ident_dict(conf_mod.eps_identify_effect_confounded_simple(
                 inp.p_y_given_x, inp.p_x, inp.u_max, args.eps
-            )
-            section["simple"] = _ident_dict(simple)
-            lines.append(_ident_text("P(y_x) [confounded, simple]", simple, args.eps))
+            ))
         else:
             section["simple"] = {"status": "requires P(x) >= 0.5"}
         report["confounded"] = section
@@ -259,37 +254,26 @@ def cmd_epsident(args) -> int:
             for name in SCAN_QUANTITIES + tuple(bounds_mod.EFFECT_VARIANTS):
                 if selected not in ("all", name) and not (selected == "effect" and name in bounds_mod.EFFECT_VARIANTS):
                     continue
-                label = engine_mod.QUANTITY_DISPLAY[name]
                 try:
                     eps_star, q_star = engine_mod.minimal_epsilon(
                         name, data.experimental, data.observational
                     )
                     report["minimal"][name] = {"eps_star": eps_star, "q_star": q_star}
-                    lines.append(f"{label:11s} eps* = {eps_star:.6g}, q* = {q_star:.6g}")
-                except MissingData as exc:
-                    report["minimal"][name] = {
-                        "status": "insufficient data", "missing": list(exc.missing)
-                    }
-                    lines.append(f"{label:11s} insufficient data (missing: {', '.join(exc.missing)})")
-                except ZeroDenominator as exc:
-                    report["minimal"][name] = {"status": "undefined", "reason": str(exc)}
-                    lines.append(f"{label:11s} undefined: {exc}")
+                except (MissingData, ZeroDenominator) as exc:
+                    report["minimal"][name] = _unavailable(exc)
         else:
             report["eps"] = args.eps
             report["eps_reports"] = {}
             for name in SCAN_QUANTITIES:
                 if selected not in ("all", name):
                     continue
-                label = engine_mod.QUANTITY_DISPLAY[name]
                 try:
                     result = engine_mod.eps_identify(
                         name, data.experimental, data.observational, args.eps, data.assumptions
                     )
                     report["eps_reports"][name] = result.to_json_dict()
-                    lines.extend(_scan_text(label, result))
                 except ZeroDenominator as exc:
-                    report["eps_reports"][name] = {"status": "undefined", "reason": str(exc)}
-                    lines.append(f"{label}: undefined: {exc}")
+                    report["eps_reports"][name] = _unavailable(exc)
             if selected in ("all", "effect"):
                 scan = engine_mod.eps_identify_effects(
                     args.eps, data.observational, data.assumptions
@@ -298,39 +282,46 @@ def cmd_epsident(args) -> int:
                     "results": {v: _ident_dict(r) for v, r in scan.results.items()},
                     "skipped": {v: list(m) for v, m in scan.skipped.items()},
                 }
-                for variant, result in scan.results.items():
-                    lines.append(_ident_text(bounds_mod.EFFECT_LABELS[variant], result, args.eps))
-                for variant, missing in scan.skipped.items():
-                    lines.append(
-                        f"{bounds_mod.EFFECT_LABELS[variant]}: not evaluated (missing {', '.join(missing)})"
-                    )
-
-    _emit(report, args.json, "\n".join(lines))
-    return EXIT_OK
+    return report
 
 
-def _ident_text(label: str, result, eps: float) -> str:
-    if isinstance(result, EpsIdentification):
-        return (
-            f"{label}: identified to q = {result.q:.6g} within eps = {eps:g}"
-            f"  [{result.condition.center}; fired: {result.condition.premise}]"
-        )
-    return (
-        f"{label}: not identified at eps = {eps:g}"
-        f"  [{result.condition.premise} fails by {result.margin:.6g}]"
-    )
-
-
-def _scan_text(label: str, result) -> list[str]:
-    lines = [f"{label}: {len(result.fired)} condition(s) fired, "
-             f"{len(result.not_evaluated)} not evaluated"]
-    for ident in result.fired:
-        mark = " (tightest)" if result.tightest is ident else ""
-        lines.append(
-            f"  {ident.condition.entry_id}: q = {ident.q:.6g} +- {ident.eps:g}"
-            f"  [{ident.condition.center}; {ident.condition.premise}]{mark}"
-        )
+def _epsident_text(report: dict, args) -> list[str]:
+    lines = ["epsident report", "==============="]
+    section = report.get("confounded")
+    if section is not None:
+        lines.append(_ident_text("P(y_x) [confounded]", section["general"], args.eps))
+        if "identified" in section["simple"]:
+            lines.append(_ident_text("P(y_x) [confounded, simple]", section["simple"], args.eps))
+    for name, entry in report.get("minimal", {}).items():
+        lines.append(_status_line(engine_mod.QUANTITY_DISPLAY[name], entry))
+    for name, entry in report.get("eps_reports", {}).items():
+        label = engine_mod.QUANTITY_DISPLAY[name]
+        if "status" in entry:
+            lines.append(f"{label}: {entry['status']}: {entry['reason']}")
+            continue
+        lines.append(f"{label}: {len(entry['fired'])} condition(s) fired, "
+                     f"{len(entry['not_evaluated'])} not evaluated")
+        tightest = entry["tightest"] and entry["tightest"]["condition"]["entry_id"]
+        for ident in entry["fired"]:
+            cond = ident["condition"]
+            mark = " (tightest)" if cond["entry_id"] == tightest else ""
+            lines.append(f"  {cond['entry_id']}: q = {ident['q']:.6g} +- {ident['eps']:g}"
+                         f"  [{cond['center']}; {cond['premise']}]{mark}")
+    effects = report.get("effects", {"results": {}, "skipped": {}})
+    for variant, entry in effects["results"].items():
+        lines.append(_ident_text(bounds_mod.EFFECT_LABELS[variant], entry, args.eps))
+    for variant, missing in effects["skipped"].items():
+        lines.append(f"{bounds_mod.EFFECT_LABELS[variant]}: not evaluated (missing {', '.join(missing)})")
     return lines
+
+
+def _ident_text(label: str, entry: dict, eps: float) -> str:
+    cond = entry["condition"]
+    if entry["identified"]:
+        return (f"{label}: identified to q = {entry['q']:.6g} within eps = {eps:g}"
+                f"  [{cond['center']}; fired: {cond['premise']}]")
+    return (f"{label}: not identified at eps = {eps:g}"
+            f"  [{cond['premise']} fails by {entry['margin']:.6g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -344,36 +335,36 @@ _RECOMMENDATIONS = {
 }
 
 
-def cmd_unit_select(args) -> int:
+def cmd_unit_select(args) -> dict:
     data = _load_input(args.input, args.kind)
-    compat = check_compatibility(data.experimental, data.observational)
-    if compat.violations:
-        return _refuse(compat.violations)
+    bounds_mod.refuse_incompatible(data.experimental, data.observational)
     beta, gamma, theta, delta = args.payoffs
     payoffs = BenefitVector(beta, gamma, theta, delta)
     if data.experimental is None:
         raise ParseError("unit-select needs experimental data (both arms)")
     result = eps_identify_benefit(payoffs, data.experimental)
-    recommendation = _RECOMMENDATIONS[result.sign]
-    report = {
+    return {
         "command": "unit-select",
         "inputs": data.to_json_dict(),
         "payoffs": {"beta": beta, "gamma": gamma, "theta": theta, "delta": delta},
         "benefit": result.to_json_dict(),
-        "recommendation": recommendation,
+        "recommendation": _RECOMMENDATIONS[result.sign],
         "warnings": [],
     }
-    lines = [
+
+
+def _unit_select_text(report: dict, args) -> list[str]:
+    benefit = report["benefit"]
+    lo, hi = benefit["certified"]
+    return [
         "unit selection report",
         "=====================",
-        f"benefit identified to q = {result.q:.6g} within eps = {result.eps:.6g}",
-        f"certified range: [{result.lo:.6g}, {result.hi:.6g}]",
-        f"gain-equality residual (beta - gamma - theta + delta): {result.gain_residual:.6g}",
-        f"sign: {result.sign}",
-        f"recommendation: {recommendation}",
+        f"benefit identified to q = {benefit['q']:.6g} within eps = {benefit['eps']:.6g}",
+        f"certified range: [{lo:.6g}, {hi:.6g}]",
+        f"gain-equality residual (beta - gamma - theta + delta): {benefit['gain_residual']:.6g}",
+        f"sign: {benefit['sign']}",
+        f"recommendation: {report['recommendation']}",
     ]
-    _emit(report, args.json, "\n".join(lines))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +446,7 @@ def _eps_soundness(exp, obs, assume, oracle_range, effects: bool) -> tuple[int, 
     return checked, failures
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     from . import oracle as oracle_mod  # numpy: only verify pays for it
 
     data = _load_input(args.input, args.kind)
@@ -561,21 +552,22 @@ def cmd_verify(args) -> int:
                 f"model range {model_range} inside the sandwich for {len(c_values)} slack values"
                 if not bad else "violations at " + ", ".join(bad))
 
-    passed = all(c["passed"] for c in checks)
-    report = {
+    return {
         "command": "verify",
         "inputs": data.to_json_dict(),
         "seed": rng_base,
         "trials": n,
         "checks": checks,
-        "passed": passed,
+        "passed": all(c["passed"] for c in checks),
     }
-    lines = ["verification report", "==================="]
-    for c in checks:
-        lines.append(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['details']}")
-    lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
-    _emit(report, args.json, "\n".join(lines))
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+
+
+def _verify_text(report: dict, args) -> list[str]:
+    return [
+        "verification report", "===================",
+        *(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['details']}" for c in report["checks"]),
+        f"overall: {'PASS' if report['passed'] else 'FAIL'}",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--force", action="store_true",
                    help="report despite incompatible data (refused quantities are flagged)")
-    p.set_defaults(fn=cmd_bounds)
+    p.set_defaults(fn=cmd_bounds, text=_bounds_text)
 
     p = sub.add_parser("epsident", help="near-point identification")
     common(p)
@@ -615,20 +607,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-max", type=float, dest="u_max",
                    help="upper bound on the confounder mass P(u)")
     p.add_argument("--c", help="slack constant for --confounder (number or 'auto')")
-    p.set_defaults(fn=cmd_epsident)
+    p.set_defaults(fn=cmd_epsident, text=_epsident_text)
 
     p = sub.add_parser("unit-select", help="benefit-function identification and sign")
     common(p)
     p.add_argument("--payoffs", type=float, nargs=4, required=True,
                    metavar=("BETA", "GAMMA", "THETA", "DELTA"),
                    help="payoffs for complier, always-taker, never-taker, defier")
-    p.set_defaults(fn=cmd_unit_select)
+    p.set_defaults(fn=cmd_unit_select, text=_unit_select_text)
 
     p = sub.add_parser("verify", help="oracle cross-checks")
     common(p)
     p.add_argument("--trials", type=int, default=200, help="sampled joints per property")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed for sampling")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, text=_verify_text)
     return parser
 
 
@@ -644,15 +636,20 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "trials", 0) < 0:
         return _fail("--trials must be non-negative", EXIT_PARSE)
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        out = render_json(report) if args.json else "\n".join(args.text(report, args)) + "\n"
     except ParseError as exc:
         return _fail(str(exc), EXIT_PARSE)
     except Incompatible as exc:
-        return _refuse(exc.violations)
+        for v in exc.violations:
+            print(f"incompatible: {v}", file=sys.stderr)
+        return EXIT_INCOMPATIBLE
     except NoFeasibleC as exc:
         return _fail(str(exc), EXIT_NO_FEASIBLE_C)
     except (InvalidDistribution, MissingData, EpsidentError) as exc:
         return _fail(str(exc), EXIT_PARSE)
+    sys.stdout.write(out)
+    return EXIT_OK if report.get("passed", True) else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import re
@@ -491,6 +492,46 @@ class TestRepeatedWork:
             assert len(patterns) == 3
         else:
             assert len(patterns) > 3
+
+
+RENDER_SHAPES = {
+    "bounds": ["bounds"],
+    "bounds-force": ["bounds", "--force"],
+    "eps": ["epsident", "--eps", "0.05"],
+    "minimal": ["epsident", "--minimal"],
+    "unit-select": ["unit-select", "--payoffs", "100", "-60", "0", "-140"],
+    "verify": ["verify", "--trials", "2"],
+    "confounder": ["epsident", "--eps", "0.025", "--confounder"],
+    "confounder-pns": ["epsident", "--eps", "0.05", "--confounder", "--c", "auto",
+                       "--quantity", "pns"],
+}
+RENDER_CASES = [
+    (fixture, shape)
+    for fixture in ("running", "medicine", "flu", "partial")
+    for shape in RENDER_SHAPES
+    # unit-select needs both experimental arms, --confounder a confounder section
+    if not (shape == "unit-select" and fixture in ("medicine", "flu"))
+    and (fixture == "medicine" or not shape.startswith("confounder"))
+]
+
+
+class TestRenderers:
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("fixture, shape", RENDER_CASES, ids=[f"{f}-{s}" for f, s in RENDER_CASES])
+    def test_output_is_a_pure_function_of_the_report(self, fixture, shape, fmt, write, capsys):
+        # the command builds the report without printing; main writes the
+        # renderer's reading of that dict, and the renderer leaves it intact
+        data = {"running": RUNNING, "medicine": MEDICINE, "flu": FLU, "partial": PARTIAL}[fixture]
+        command, *extra = RENDER_SHAPES[shape]
+        argv = [command, write(f"{fixture}.json", data), *extra, *fmt]
+        args = cli.build_parser().parse_args(argv)
+        report = args.fn(args)
+        assert capsys.readouterr().out == ""
+        rendered = copy.deepcopy(report)
+        text = "\n".join(args.text(rendered, args)) + "\n"
+        assert rendered == report
+        assert main(argv) == (0 if report.get("passed", True) else 5)
+        assert capsys.readouterr().out == (render_json(report) if fmt else text)
 
 
 class TestReportContract:
