@@ -53,6 +53,7 @@ from .errors import (
     Unsupported,
     ZeroDenominator,
 )
+from .forms import QUANTITIES
 from .report import render_json
 from .unitselect import BenefitVector, eps_identify_benefit
 
@@ -107,7 +108,7 @@ def _ident_dict(result) -> dict:
 def _unavailable(exc: MissingData | ZeroDenominator) -> dict:
     """The entry of a quantity that the data cannot range."""
     if isinstance(exc, MissingData):
-        return {"status": "insufficient data", "missing": list(exc.missing)}
+        return {"status": "insufficient data", "missing": sorted(exc.missing, key=QUANTITIES.index)}
     return {"status": "undefined", "reason": str(exc)}
 
 

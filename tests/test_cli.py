@@ -193,6 +193,14 @@ class TestEpsident:
         assert main(["bounds", path]) == 0
         assert sorted(minimal[2:]) == sorted(capsys.readouterr().out.splitlines()[2:])
         assert "PNS         insufficient data (missing: p_xy, p_xpy)" in minimal
+        # atoms in QUANTITIES order, as the scan's not_evaluated lists them,
+        # not in the order the bounds read them (p_xpyp, p_xy)
+        path = write("off_diagonal.json", {"experimental": RUNNING["experimental"],
+                                           "observational": {"p_xyp": 0.1, "p_xpy": 0.2}})
+        line = "PS          insufficient data (missing: p_xy, p_xpyp)"
+        for command in (["epsident", "--minimal"], ["bounds"]):
+            assert main([command[0], path, *command[1:]]) == 0
+            assert line in capsys.readouterr().out.splitlines()
 
     def test_incompatible_exits_3(self, write):
         path = write("bad.json", INCOMPATIBLE)
