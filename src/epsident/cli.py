@@ -8,10 +8,9 @@ Subcommands:
 * ``unit-select``  benefit-function identification and sign decision
 * ``verify``       oracle cross-checks on the input and on sampled models
 
-Each ``cmd_*`` function maps the parsed arguments to its report dict and
-raises to refuse; it neither prints nor returns an exit code.  ``main`` alone
-writes a report: its canonical JSON under ``--json``, else the command's text
-renderer applied to the same in-memory dict.
+Each ``cmd_*`` maps the parsed arguments to its report dict, or raises to
+refuse; ``main`` alone writes the report, as canonical JSON under ``--json``
+or else through the command's text renderer.
 
 Inputs are either the JSON schema (see :func:`epsident.parse_input_json`)
 or an ``arm,outcome,count`` CSV (with ``--kind``).  Exit codes: 0 success,
@@ -46,7 +45,6 @@ from .errors import (
     EpsidentError,
     Incompatible,
     Infeasible,
-    InvalidDistribution,
     MissingData,
     NoFeasibleC,
     ParseError,
@@ -77,8 +75,8 @@ def _fail(message: str, code: int) -> int:
 def _load_input(path: str, kind: str | None) -> InputData:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if p.suffix.lower() == ".csv":
         if kind is None:
@@ -236,18 +234,18 @@ def cmd_epsident(args) -> dict:
         if args.minimal:
             raise ParseError("--minimal does not apply to --confounder mode")
         inp = _confounder_inputs(data, args)
-        section: dict = {
-            "inputs": {"p_y_given_x": inp.p_y_given_x, "p_x": inp.p_x, "u_max": inp.u_max,
-                       "c": inp.c if inp.c is not None else "auto"},
-        }
-        section["general"] = _ident_dict(conf_mod.eps_identify_effect_confounded(inp, args.eps))
+        general = _ident_dict(conf_mod.eps_identify_effect_confounded(inp, args.eps))
+        simple = {"status": "requires P(x) >= 0.5"}
         if inp.p_x >= 0.5:
-            section["simple"] = _ident_dict(conf_mod.eps_identify_effect_confounded_simple(
+            simple = _ident_dict(conf_mod.eps_identify_effect_confounded_simple(
                 inp.p_y_given_x, inp.p_x, inp.u_max, args.eps
             ))
-        else:
-            section["simple"] = {"status": "requires P(x) >= 0.5"}
-        report["confounded"] = section
+        report["confounded"] = {
+            "inputs": {"p_y_given_x": inp.p_y_given_x, "p_x": inp.p_x, "u_max": inp.u_max,
+                       "c": inp.c if inp.c is not None else "auto"},
+            "general": general,
+            "simple": simple,
+        }
 
     if run_scans:
         if args.minimal:
@@ -317,6 +315,7 @@ def _epsident_text(report: dict, args) -> list[str]:
 
 
 def _ident_text(label: str, entry: dict, eps: float) -> str:
+    """``eps`` is the command's radius: a confounder-only report records none."""
     cond = entry["condition"]
     if entry["identified"]:
         return (f"{label}: identified to q = {entry['q']:.6g} within eps = {eps:g}"
@@ -636,18 +635,18 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("--eps must be positive and finite", EXIT_PARSE)
     if getattr(args, "trials", 0) < 0:
         return _fail("--trials must be non-negative", EXIT_PARSE)
+    if getattr(args, "seed", 0) < 0:
+        return _fail("--seed must be non-negative", EXIT_PARSE)
     try:
         report = args.fn(args)
         out = render_json(report) if args.json else "\n".join(args.text(report, args)) + "\n"
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_PARSE)
     except Incompatible as exc:
         for v in exc.violations:
             print(f"incompatible: {v}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except NoFeasibleC as exc:
         return _fail(str(exc), EXIT_NO_FEASIBLE_C)
-    except (InvalidDistribution, MissingData, EpsidentError) as exc:
+    except EpsidentError as exc:  # ParseError, InvalidDistribution, MissingData, ...
         return _fail(str(exc), EXIT_PARSE)
     sys.stdout.write(out)
     return EXIT_OK if report.get("passed", True) else EXIT_VERIFY_FAILED

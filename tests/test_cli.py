@@ -109,6 +109,14 @@ class TestBounds:
         assert report["bounds"]["pns"]["status"] == "refused"
         assert report["warnings"]
 
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"experimental": {"p_y_do_x": 0.7}, "note": "caf\u00e9"}'.encode("latin-1"))
+        assert main(["bounds", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.out == ""
+
     def test_csv_requires_kind(self, write):
         path = write("table1.csv", TABLE1_CSV)
         assert main(["bounds", path]) == 2
@@ -327,6 +335,13 @@ class TestVerify:
         assert main(["verify", path, "--trials", "-3"]) == 2
         captured = capsys.readouterr()
         assert "--trials" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_exits_2(self, write, capsys):
+        path = write("running.json", RUNNING)
+        assert main(["verify", path, "--trials", "2", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be non-negative\n"
         assert captured.out == ""
 
     def test_detects_widened_closed_form_bounds(self, write, capsys, monkeypatch):

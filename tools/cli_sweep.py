@@ -57,31 +57,30 @@ def _load(name: str, path: Path):
     return module
 
 
-def inputs() -> list[tuple[str, str, list[str], bool]]:
-    """(file name, file text, payoffs, has a confounder section) per input."""
+def inputs() -> list[tuple[str, str, list[str], list[str], bool]]:
+    """(file name, file text, --kind arguments, payoffs, has a confounder
+    section) per input."""
     studies = _load("perfbench_studies", HERE / "perfbench" / "studies.py")
     fixtures = _load("cli_fixtures", HERE / "tests" / "test_cli.py")
     out = []
     for i in ROUNDS:
         for k, study in enumerate(studies.make_round(SEED, i, True)):
-            out.append((f"r{i}-{k}.json", study["text"], [repr(v) for v in study["payoffs"]],
+            out.append((f"r{i}-{k}.json", study["text"], [], [repr(v) for v in study["payoffs"]],
                         "confounder" in study["data"]))
     for name in ("RUNNING", "MEDICINE", "FLU", "PARTIAL", "INCOMPATIBLE"):
         data = getattr(fixtures, name)
-        out.append((f"{name.lower()}.json", json.dumps(data), list(FIXTURE_PAYOFFS),
+        out.append((f"{name.lower()}.json", json.dumps(data), [], list(FIXTURE_PAYOFFS),
                     "confounder" in data))
-    for name in ("TABLE1_CSV", "TABLE2_CSV"):
-        out.append((f"{name.lower()}.csv", getattr(fixtures, name), list(FIXTURE_PAYOFFS), False))
+    for name, kind in (("TABLE1_CSV", "observational"), ("TABLE2_CSV", "experimental")):
+        out.append((f"{name.lower()}.csv", getattr(fixtures, name), ["--kind", kind],
+                    list(FIXTURE_PAYOFFS), False))
     return out
 
 
 def calls() -> list[tuple[list[str], str, str]]:
     """(argv, file name, file text) of every call, text and --json."""
     out = []
-    for name, text, payoffs, confounded in inputs():
-        kind = []
-        if name.endswith(".csv"):
-            kind = ["--kind", "observational" if name.startswith("table1") else "experimental"]
+    for name, text, kind, payoffs, confounded in inputs():
         for shape in SHAPES + (CONFOUNDER_SHAPES if confounded else ()):
             argv = [shape[0], name, *kind]
             for a in shape[1:]:
