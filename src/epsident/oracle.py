@@ -37,6 +37,7 @@ float code, so it lives with :class:`ConfoundedScm` and :func:`grid_scms` in
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -46,6 +47,7 @@ import numpy as np
 from .config import get_tolerance
 from .confounded import ConfoundedScm, confounded_effect_range, grid_scms  # re-exported
 from .distributions import (
+    EFFECTS,
     Assumptions,
     ExperimentalDistribution,
     ObservationalDistribution,
@@ -175,6 +177,8 @@ class ResponseTypeJoint:
         return float(self.cells[0, 1]) / p_xpyp
 
     def effect(self, variant: str) -> float:
+        if variant not in EFFECTS:
+            raise Unsupported(f"unknown effect {variant!r}")
         return float(_OBJECTIVES[variant] @ self.as_vector())
 
 
@@ -299,15 +303,23 @@ def feasible_vertices(
     if system.N.size and np.abs(system.N @ b).max() > _CONSISTENCY_TOL:
         raise Infeasible("supplied data atoms are mutually inconsistent")
     Q = (system.P @ b).reshape(-1, system.A.shape[1])
-    # negated tests, so a NaN coordinate passes them as it did the per-basis loop
-    keep = ~(Q.min(axis=1) < -_NONNEG_TOL)
-    keep &= ~(np.abs(Q @ system.A.T - b).max(axis=1) > _RESIDUAL_TOL)
-    if not keep.any():
+    # negated tests, so a NaN coordinate passes them as it did the per-basis
+    # loop; the residual test sees only the rows the sign test kept
+    Q = Q[~(Q.min(axis=1) < -_NONNEG_TOL)]
+    Q = Q[~(np.abs(Q @ system.A.T - b).max(axis=1) > _RESIDUAL_TOL)]
+    if not len(Q):
         raise Infeasible("no response-type joint matches the supplied data")
-    rows = np.round(np.clip(Q[keep, :_N], 0.0, None), 12)
-    # distinct rows in lexicographic order; clip made every -0.0 +0.0, so the
-    # bits of a row never depend on which of its duplicates the set kept
-    return np.array(sorted(set(map(tuple, rows.tolist()))))
+    # np.round(np.clip(rows, 0.0, None), 12) in place, by np.round's own ufuncs;
+    # the maximum turns every -0.0 into +0.0
+    rows = np.maximum(Q[:, :_N], 0.0)
+    rows *= 1e12
+    np.rint(rows, out=rows)
+    rows /= 1e12
+    # distinct rows in lexicographic order (lexsort sorts by its last key first)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    listed = rows.tolist()
+    repeats = [i for i in range(1, len(listed)) if listed[i] == listed[i - 1]]
+    return np.delete(rows, repeats, axis=0) if repeats else rows
 
 
 def feasible_range(
@@ -331,9 +343,8 @@ def feasible_range(
     if target == "benefit":
         if payoffs is None:
             raise Unsupported("benefit target requires payoffs")
-        obj = np.repeat(
-            np.array([payoffs.beta, payoffs.gamma, payoffs.theta, payoffs.delta], dtype=float), 2
-        )
+        beta, gamma, theta, delta = payoffs.beta, payoffs.gamma, payoffs.theta, payoffs.delta
+        obj = np.array([beta, beta, gamma, gamma, theta, theta, delta, delta], dtype=float)
         den = 1.0
     elif target in ("pn", "ps"):
         den_name = "p_xy" if target == "pn" else "p_xpyp"
@@ -350,5 +361,9 @@ def feasible_range(
         raise Unsupported(f"unknown target {target!r}")
     if vertices is None:
         vertices = feasible_vertices(exp, obs, assumptions)
+    values = (vertices @ obj).tolist()
+    if math.isfinite(sum(values)):  # else Python's min and max could skip a NaN
+        # dividing by a positive den is monotone, so only the two ends need it
+        return Interval(min(values) / den, max(values) / den)
     values = vertices @ obj / den
     return Interval(float(values.min()), float(values.max()))

@@ -11,6 +11,7 @@ import pytest
 from epsident import (
     Assumptions,
     BenefitVector,
+    EmptyInterval,
     EpsidentError,
     ExperimentalDistribution,
     Infeasible,
@@ -56,6 +57,18 @@ class TestResponseTypeJoint:
         assert joint.pns() == pytest.approx(0.3)
         assert joint.pn() == pytest.approx(0.1 / 0.15)
         assert joint.ps() == pytest.approx(0.2 / 0.3)
+
+    def test_effect_answers_for_effects_only(self):
+        joint = sample_joint(3).joint
+        exp = joint.experimental()
+        assert joint.effect("y_x") == pytest.approx(exp.p_y_do_x)
+        assert joint.effect("yp_x") == pytest.approx(1.0 - exp.p_y_do_x)
+        assert joint.effect("y_xp") == pytest.approx(exp.p_y_do_xp)
+        assert joint.effect("yp_xp") == pytest.approx(1.0 - exp.p_y_do_xp)
+        # the pns, pn and ps numerators share the objective table but are not effects
+        for name in ("pns", "pn", "ps", "benefit", "y"):
+            with pytest.raises(Unsupported):
+                joint.effect(name)
 
 
 class TestSampling:
@@ -393,6 +406,125 @@ def test_shared_atom_pattern_gets_its_own_vertices():
     _assert_same_vertices(b, reference_vertices(*second))
     assert a.shape != b.shape or not np.allclose(a, b)
     _assert_same_vertices(feasible_vertices(*first), a)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity: feasible_vertices' steps after the product and feasible_range's
+# arithmetic, as they were before both were fused, must give the same bits
+# ---------------------------------------------------------------------------
+
+
+def _unfused_vertices(exp, obs, assumptions):
+    """Both tests on every candidate row, np.round, then a set dedup."""
+    names, values = oracle._atoms(exp, obs, assumptions)
+    system = oracle._pattern_system(names)
+    b = np.array([1.0, *values])
+    if system.N.size and np.abs(system.N @ b).max() > oracle._CONSISTENCY_TOL:
+        raise Infeasible("supplied data atoms are mutually inconsistent")
+    Q = (system.P @ b).reshape(-1, system.A.shape[1])
+    keep = ~(Q.min(axis=1) < -oracle._NONNEG_TOL)
+    keep &= ~(np.abs(Q @ system.A.T - b).max(axis=1) > oracle._RESIDUAL_TOL)
+    if not keep.any():
+        raise Infeasible("no response-type joint matches the supplied data")
+    rows = np.round(np.clip(Q[keep, :_N], 0.0, None), 12)
+    return np.array(sorted(set(map(tuple, rows.tolist()))))
+
+
+def _unfused_range(target, obs, payoffs, vertices):
+    """Every vertex value divided by the denominator, then numpy's min and max."""
+    if target == "benefit":
+        obj = np.repeat(np.array([payoffs.beta, payoffs.gamma, payoffs.theta, payoffs.delta]), 2)
+    else:
+        obj = oracle._OBJECTIVES[target]
+    den = obs.cell({"pn": "p_xy", "ps": "p_xpyp"}[target]) if target in ("pn", "ps") else 1.0
+    values = vertices @ obj / den
+    return float(values.min()), float(values.max())
+
+
+def _grid_cases(rng, n):
+    """Data from joints on a 0.1 grid: they sit on faces of the polytope, where
+    degenerate bases repeat vertices and leave coordinates such as -5.6e-17."""
+    for _ in range(n):
+        joint = ResponseTypeJoint(rng.multinomial(10, np.full(8, 1 / 8)).reshape(4, 2) / 10)
+        exp, obs = joint.experimental(), joint.observational()
+        yield from ((exp, obs, None), (exp, None, None), (None, obs, None))
+
+
+def _assert_fused_matches_unfused(exp, obs, assume, payoffs):
+    """Returns the number of ranges compared, or None when both refuse."""
+    want = _outcome(_unfused_vertices, exp, obs, assume)
+    got = _outcome(feasible_vertices, exp, obs, assume)
+    if isinstance(want, tuple):
+        assert got == want
+        return None
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    ranged = 0
+    for target in RANGE_TARGETS:
+        new = _outcome(feasible_range, target, exp, obs, assume, payoffs=payoffs)
+        if isinstance(new, tuple):  # a dispatch refusal, before any arithmetic
+            assert new[0] in (Unsupported, ZeroDenominator)
+            continue
+        lo, hi = _unfused_range(target, obs, payoffs, want)
+        assert (new.lo.hex(), new.hi.hex()) == (lo.hex(), hi.hex())
+        ranged += 1
+    return ranged
+
+
+def test_fused_steps_match_unfused_bits():
+    rng = np.random.default_rng(1919)
+    ranged = refused = 0
+    cases = [_random_case(rng, FORMS[k % len(FORMS)]) for k in range(1200)]
+    for case in cases + list(_grid_cases(rng, 100)):
+        n = _assert_fused_matches_unfused(*case, BenefitVector(*rng.uniform(-1.0, 1.0, 4)))
+        refused += n is None
+        ranged += n or 0
+    assert ranged > 5000 and refused > 100
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("target", ["pns", "y_x", "benefit"])
+def test_non_finite_supplied_vertex_is_refused(bad, target):
+    # the bad value sits in a middle row, where Python's min and max would skip a NaN
+    vertices = np.array([[0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05],
+                         [0.2, 0.2, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05],
+                         [0.1, 0.1, 0.1, 0.1, 0.2, 0.2, 0.1, 0.1]])
+    vertices[1, 0] = bad
+    with pytest.raises(EmptyInterval):
+        feasible_range(target, payoffs=BenefitVector(0.5, -0.2, 0.1, 0.3), vertices=vertices)
+
+
+def test_range_leaves_supplied_vertices_unchanged(running_exp, running_obs):
+    vertices = feasible_vertices(running_exp, running_obs)
+    before = vertices.copy()
+    for target in RANGE_TARGETS:
+        feasible_range(target, running_exp, running_obs, payoffs=BenefitVector(1, -1, 0.5, 2),
+                       vertices=vertices)
+    assert vertices.tobytes() == before.tobytes()
+
+
+def _candidate_rows(exp, obs, assumptions):
+    """The response-type coordinates of every candidate that passes the sign test."""
+    names, values = oracle._atoms(exp, obs, assumptions)
+    system = oracle._pattern_system(names)
+    Q = (system.P @ np.array([1.0, *values])).reshape(-1, system.A.shape[1])[:, :_N]
+    return Q[~(Q.min(axis=1) < -oracle._NONNEG_TOL)]
+
+
+def test_vertices_hold_no_negative_zero():
+    lifted = 0
+    for case in _grid_cases(np.random.default_rng(7), 100):
+        assert not np.signbit(feasible_vertices(*case)).any()
+        # a candidate with a sign bit set is one the clip has to lift
+        lifted += bool(np.signbit(_candidate_rows(*case)).any())
+    assert lifted > 10
+
+
+def test_writing_into_returned_vertices_changes_no_later_call(running_exp, running_obs):
+    first = feasible_vertices(running_exp, running_obs)
+    want = first.tobytes()
+    first[:] = 5.0
+    assert feasible_vertices(running_exp, running_obs).tobytes() == want
 
 
 # ---------------------------------------------------------------------------
