@@ -94,7 +94,7 @@ from .unitselect import (
 
 __version__ = "0.1.0"
 
-# The oracle, the only user of numpy besides CovariateJoint, is imported on
+# The oracle, the only module that imports numpy at load time, is imported on
 # first access to one of its names (PEP 562), so that the closed forms and
 # the CLI commands built on them start without numpy.
 _ORACLE_EXPORTS = (

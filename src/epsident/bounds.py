@@ -31,6 +31,7 @@ from .distributions import (
     ExperimentalDistribution,
     ObservationalDistribution,
     check_compatibility,
+    check_joint,
     require_atoms,
 )
 from .errors import (
@@ -108,10 +109,15 @@ def causal_effect_bounds(
     outcome: Outcome = "y",
 ) -> Interval:
     """Bounds [P(t,o), 1 - P(t,o')] on the causal effect P(o_t) from the joint alone."""
+    return effect_bounds(obs, _variant(treatment, outcome))
+
+
+def _variant(treatment: str, outcome: str) -> str:
+    """The :data:`EFFECT_VARIANTS` token of P(outcome_treatment)."""
     key = (treatment, outcome)
     for variant, arms in EFFECT_VARIANTS.items():
         if arms == key:
-            return effect_bounds(obs, variant)
+            return variant
     raise InvalidDistribution(f"treatment/outcome must be x|x', y|y', got {key!r}")
 
 
@@ -228,31 +234,7 @@ class CovariateJoint:
     __slots__ = ("cells",)
 
     def __init__(self, cells) -> None:
-        import numpy as np  # here, not at module level: the closed forms need no numpy
-
-        arr = np.asarray(cells, dtype=float)
-        if arr.shape != (2, 2, 2):
-            raise InvalidDistribution(f"covariate joint must have shape (2,2,2), got {arr.shape}")
-        tol = get_tolerance()
-        # negated comparisons, so that a NaN or infinite cell fails them too
-        if not arr.min() >= -tol:
-            raise InvalidDistribution("covariate joint cells must be non-negative")
-        if not abs(arr.sum() - 1.0) <= tol:
-            raise InvalidDistribution(f"covariate joint must sum to 1, got {arr.sum()!r}")
-        self.cells = np.clip(arr, 0.0, None)
-        self.cells.flags.writeable = False
-
-    @staticmethod
-    def _x_index(treatment: str) -> int:
-        if treatment not in ("x", "x'"):
-            raise InvalidDistribution(f"treatment must be x|x', got {treatment!r}")
-        return 0 if treatment == "x" else 1
-
-    @staticmethod
-    def _y_index(outcome: str) -> int:
-        if outcome not in ("y", "y'"):
-            raise InvalidDistribution(f"outcome must be y|y', got {outcome!r}")
-        return 0 if outcome == "y" else 1
+        self.cells = check_joint(cells, (2, 2, 2), "covariate joint")
 
     def p_u(self, k: int) -> float:
         return float(self.cells[:, :, k].sum())
@@ -275,8 +257,9 @@ def adjust_over_covariate(
     P(treatment, u) = 0 leaves the conditional undefined and raises
     :class:`EmptyStratum`.
     """
-    i = CovariateJoint._x_index(treatment)
-    j = CovariateJoint._y_index(outcome)
+    _variant(treatment, outcome)  # refuses tokens other than x|x' and y|y'
+    i = 0 if treatment == "x" else 1
+    j = 0 if outcome == "y" else 1
     tol = get_tolerance()
     total = 0.0
     for k in (0, 1):

@@ -107,6 +107,25 @@ def check_eps(eps: float) -> None:
         raise InvalidDistribution(f"eps must be positive and finite, got {eps!r}")
 
 
+def check_joint(cells, shape: tuple[int, ...], name: str):
+    """``cells`` as a read-only float array of ``shape`` that sums to 1, with
+    the negative cells the tolerance admits clipped to 0."""
+    import numpy as np  # here, not at module level: the closed forms need no numpy
+
+    arr = np.asarray(cells, dtype=float)
+    if arr.shape != shape:
+        raise InvalidDistribution(f"{name} must have shape {shape}, got {arr.shape}")
+    tol = get_tolerance()
+    # negated comparisons, so that a NaN or infinite cell fails them too
+    if not arr.min() >= -tol:
+        raise InvalidDistribution(f"{name} cells must be non-negative")
+    if not abs(arr.sum() - 1.0) <= tol:
+        raise InvalidDistribution(f"{name} must sum to 1, got {arr.sum()!r}")
+    arr = np.clip(arr, 0.0, None)
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_probs(record, names) -> None:
     """Validate and clamp the named probability fields of a frozen record."""
     for name in names:

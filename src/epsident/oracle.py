@@ -44,16 +44,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import get_tolerance
+from .catalog import TARGETS
 from .confounded import ConfoundedScm, confounded_effect_range, grid_scms  # re-exported
 from .distributions import (
     EFFECTS,
     Assumptions,
     ExperimentalDistribution,
     ObservationalDistribution,
+    check_joint,
     present_atoms,
 )
-from .errors import Infeasible, InvalidDistribution, MissingData, Unsupported, ZeroDenominator
+from .errors import EmptyInterval, Infeasible, MissingData, Unsupported
 from .forms import QUANTITY_ATOMS
 from .interval import Interval
 
@@ -123,17 +124,7 @@ class ResponseTypeJoint:
     __slots__ = ("cells",)
 
     def __init__(self, cells) -> None:
-        arr = np.asarray(cells, dtype=float)
-        if arr.shape != (4, 2):
-            raise InvalidDistribution(f"response-type joint must be (4,2), got {arr.shape}")
-        tol = get_tolerance()
-        # negated comparisons, so that a NaN or infinite cell fails them too
-        if not arr.min() >= -tol:
-            raise InvalidDistribution("response-type joint cells must be non-negative")
-        if not abs(arr.sum() - 1.0) <= tol:
-            raise InvalidDistribution(f"response-type joint must sum to 1, got {arr.sum()!r}")
-        self.cells = np.clip(arr, 0.0, None)
-        self.cells.flags.writeable = False
+        self.cells = check_joint(cells, (4, 2), "response-type joint")
 
     def as_vector(self) -> np.ndarray:
         return self.cells.reshape(-1)
@@ -144,20 +135,14 @@ class ResponseTypeJoint:
     # forward maps -----------------------------------------------------
 
     def experimental(self) -> ExperimentalDistribution:
-        q = self.as_vector()
-        return ExperimentalDistribution(
-            p_y_do_x=float(_ROWS["p_y_do_x"] @ q),
-            p_y_do_xp=float(_ROWS["p_y_do_xp"] @ q),
-        )
+        return self._record(ExperimentalDistribution)
 
     def observational(self) -> ObservationalDistribution:
+        return self._record(ObservationalDistribution)
+
+    def _record(self, cls):
         q = self.as_vector()
-        return ObservationalDistribution(
-            p_xy=float(_ROWS["p_xy"] @ q),
-            p_xyp=float(_ROWS["p_xyp"] @ q),
-            p_xpy=float(_ROWS["p_xpy"] @ q),
-            p_xpyp=float(_ROWS["p_xpyp"] @ q),
-        )
+        return cls(**{name: float(_ROWS[name] @ q) for name in cls.__slots__})
 
     # ground-truth quantities -------------------------------------------
 
@@ -165,16 +150,16 @@ class ResponseTypeJoint:
         return self.type_marginal("complier")
 
     def pn(self) -> float:
-        p_xy = float(_ROWS["p_xy"] @ self.as_vector())
-        if p_xy <= get_tolerance():
-            raise ZeroDenominator("P(x,y) = 0, pn is undefined")
-        return float(self.cells[0, 0]) / p_xy
+        return self._ratio(TARGETS["pn"])
 
     def ps(self) -> float:
-        p_xpyp = float(_ROWS["p_xpyp"] @ self.as_vector())
-        if p_xpyp <= get_tolerance():
-            raise ZeroDenominator("P(x',y') = 0, ps is undefined")
-        return float(self.cells[0, 1]) / p_xpyp
+        return self._ratio(TARGETS["ps"])
+
+    def _ratio(self, target) -> float:
+        q = self.as_vector()
+        den = float(_ROWS[target.denominator] @ q)
+        target.require_denominator(den)
+        return float(_OBJECTIVES[target.name] @ q) / den
 
     def effect(self, variant: str) -> float:
         if variant not in EFFECTS:
@@ -345,25 +330,22 @@ def feasible_range(
             raise Unsupported("benefit target requires payoffs")
         beta, gamma, theta, delta = payoffs.beta, payoffs.gamma, payoffs.theta, payoffs.delta
         obj = np.array([beta, beta, gamma, gamma, theta, theta, delta, delta], dtype=float)
-        den = 1.0
-    elif target in ("pn", "ps"):
-        den_name = "p_xy" if target == "pn" else "p_xpyp"
-        den = None if obs is None else obs.cell(den_name)
-        if den is None:
-            raise Unsupported(f"{target} needs the observational cell {den_name}")
-        if den <= get_tolerance():
-            raise ZeroDenominator(f"{den_name} = 0, {target} is undefined")
-        obj = _OBJECTIVES[target]
     elif target in _OBJECTIVES:
         obj = _OBJECTIVES[target]
-        den = 1.0
     else:
         raise Unsupported(f"unknown target {target!r}")
+    spec = TARGETS.get(target)
+    den = 1.0
+    if spec is not None and spec.denominator is not None:
+        den = None if obs is None else obs.cell(spec.denominator)
+        if den is None:
+            raise Unsupported(f"{target} needs the observational cell {spec.denominator}")
+        spec.require_denominator(den)
     if vertices is None:
         vertices = feasible_vertices(exp, obs, assumptions)
     values = (vertices @ obj).tolist()
-    if math.isfinite(sum(values)):  # else Python's min and max could skip a NaN
-        # dividing by a positive den is monotone, so only the two ends need it
-        return Interval(min(values) / den, max(values) / den)
-    values = vertices @ obj / den
-    return Interval(float(values.min()), float(values.max()))
+    # a sum of finite values can overflow, and Python's min and max could skip a NaN
+    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+        raise EmptyInterval(f"{target} takes a non-finite value on a vertex")
+    # dividing by a positive den is monotone, so only the two ends need it
+    return Interval(min(values) / den, max(values) / den)

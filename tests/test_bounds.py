@@ -131,6 +131,27 @@ class TestMonotone:
             assert ident.ps == pytest.approx(joint.ps(), abs=1e-9)
 
 
+@pytest.mark.parametrize("treatment, outcome", [("z", "y"), ("x", "q"), ("y", "x"), ("x'", "Y")])
+def test_bad_tokens_are_refused_alike(treatment, outcome, running_obs):
+    joint = CovariateJoint(np.full((2, 2, 2), 1 / 8))
+    messages = set()
+    for call in (lambda: causal_effect_bounds(running_obs, treatment, outcome),
+                 lambda: adjust_over_covariate(joint, treatment, outcome)):
+        with pytest.raises(InvalidDistribution) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {f"treatment/outcome must be x|x', y|y', got {(treatment, outcome)!r}"}
+
+
+@pytest.mark.parametrize("treatment, outcome, expected", [
+    ("x", "y", 0.3 / 0.5), ("x", "y'", 0.2 / 0.5), ("x'", "y", 0.1 / 0.5), ("x'", "y'", 0.4 / 0.5),
+])
+def test_every_token_pair_adjusts(treatment, outcome, expected):
+    xy = np.array([[0.3, 0.2], [0.1, 0.4]])
+    joint = CovariateJoint(np.stack([xy * 0.6, xy * 0.4], axis=2))
+    assert adjust_over_covariate(joint, treatment, outcome) == pytest.approx(expected)
+
+
 def _random_covariate_joint(rng) -> CovariateJoint:
     return CovariateJoint(rng.dirichlet(np.ones(8)).reshape(2, 2, 2))
 

@@ -1,5 +1,6 @@
-"""numpy is loaded only by the oracle and CovariateJoint, and the package's
-public names stay the same whether or not the oracle has been imported."""
+"""numpy is loaded only by the oracle and by ``distributions.check_joint``,
+the array check a joint runs when built, and the package's public names stay
+the same whether or not the oracle has been imported."""
 
 import json
 import os

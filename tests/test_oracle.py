@@ -11,6 +11,7 @@ import pytest
 from epsident import (
     Assumptions,
     BenefitVector,
+    CovariateJoint,
     EmptyInterval,
     EpsidentError,
     ExperimentalDistribution,
@@ -494,6 +495,17 @@ def test_non_finite_supplied_vertex_is_refused(bad, target):
         feasible_range(target, payoffs=BenefitVector(0.5, -0.2, 0.1, 0.3), vertices=vertices)
 
 
+def test_finite_values_whose_sum_overflows_are_ranged():
+    # each vertex value is finite, but their Python sum is inf
+    vertices = np.array([[0.5, 0.5, 0, 0, 0, 0, 0, 0], [0, 0, 0.5, 0.5, 0, 0, 0, 0],
+                         [0, 0, 0, 0, 0.5, 0.5, 0, 0]])
+    payoffs = BenefitVector(1.7e308, 1.6e308, -1.0, 0.0)
+    values = vertices @ np.repeat([1.7e308, 1.6e308, -1.0, 0.0], 2)
+    assert not math.isfinite(sum(values.tolist()))
+    rng = feasible_range("benefit", payoffs=payoffs, vertices=vertices)
+    assert rng.as_tuple() == (float(values.min()), float(values.max()))
+
+
 def test_range_leaves_supplied_vertices_unchanged(running_exp, running_obs):
     vertices = feasible_vertices(running_exp, running_obs)
     before = vertices.copy()
@@ -525,6 +537,88 @@ def test_writing_into_returned_vertices_changes_no_later_call(running_exp, runni
     want = first.tobytes()
     first[:] = 5.0
     assert feasible_vertices(running_exp, running_obs).tobytes() == want
+
+
+# ---------------------------------------------------------------------------
+# Rules the oracle shares with the closed forms: the denominators of pn and
+# ps and their zero refusal, and the array check of a joint
+# ---------------------------------------------------------------------------
+
+# complier|x and always-taker|x hold P(x,y); complier|x' and never-taker|x' hold P(x',y')
+ZERO_DENOMINATOR_JOINTS = {
+    "pn": ([[0.0, 0.2], [0.0, 0.3], [0.25, 0.1], [0.15, 0.0]], "P(x,y) = 0, pn is undefined"),
+    "ps": ([[0.2, 0.0], [0.3, 0.1], [0.25, 0.0], [0.15, 0.0]], "P(x',y') = 0, ps is undefined"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(ZERO_DENOMINATOR_JOINTS))
+def test_zero_denominator_is_refused_alike_everywhere(target):
+    cells, message = ZERO_DENOMINATOR_JOINTS[target]
+    joint = ResponseTypeJoint(cells)
+    exp, obs = joint.experimental(), joint.observational()
+    closed_form = {"pn": pn_bounds, "ps": ps_bounds}[target]
+    for call in (getattr(joint, target), lambda: feasible_range(target, exp, obs),
+                 lambda: closed_form(exp, obs)):
+        with pytest.raises(ZeroDenominator) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_ratio_target_without_its_cell_is_unsupported(running_exp):
+    # the other target's denominator does not stand in for the missing one
+    obs = ObservationalDistribution(p_xy=0.4, p_xyp=0.1, p_xpy=0.2)
+    assert feasible_range("pn", running_exp, obs).lo >= 0.0
+    with pytest.raises(Unsupported, match="ps needs the observational cell p_xpyp"):
+        feasible_range("ps", running_exp, obs)
+
+
+@pytest.mark.parametrize("target", ["y", "pns_x", "PN", "p_xy"])
+def test_unknown_target_is_unsupported(target, running_exp, running_obs):
+    with pytest.raises(Unsupported, match="unknown target"):
+        feasible_range(target, running_exp, running_obs)
+
+
+def test_benefit_without_payoffs_is_unsupported(running_exp, running_obs):
+    with pytest.raises(Unsupported, match="benefit target requires payoffs"):
+        feasible_range("benefit", running_exp, running_obs)
+
+
+JOINTS = [(ResponseTypeJoint, (4, 2), "response-type joint"),
+          (CovariateJoint, (2, 2, 2), "covariate joint")]
+
+
+@pytest.mark.parametrize("cls, shape, name", JOINTS, ids=["response-type", "covariate"])
+class TestJointArrayCheck:
+    def test_wrong_shape(self, cls, shape, name):
+        with pytest.raises(InvalidDistribution) as info:
+            cls(np.full(8, 1 / 8))
+        assert str(info.value) == f"{name} must have shape {shape}, got (8,)"
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1])
+    def test_nan_or_negative_cell(self, cls, shape, name, bad):
+        # the other cells sum to 1 - bad, so only the bad cell can fail the checks
+        cells = np.full(shape, 1 / 8)
+        cells.flat[3] = bad
+        cells.flat[4] = 0.25 if np.isnan(bad) else 0.25 - bad
+        with pytest.raises(InvalidDistribution) as info:
+            cls(cells)
+        assert str(info.value) == f"{name} cells must be non-negative"
+
+    def test_mass(self, cls, shape, name):
+        with pytest.raises(InvalidDistribution) as info:
+            cls(np.full(shape, 0.15))
+        assert str(info.value) == f"{name} must sum to 1, got {np.full(shape, 0.15).sum()!r}"
+
+    def test_tolerated_negative_is_clipped_and_read_only(self, cls, shape, name):
+        cells = np.full(shape, 1 / 8)
+        cells.flat[0] = -1e-12
+        cells.flat[1] = 0.25 + 1e-12
+        joint = cls(cells)
+        assert joint.cells.shape == shape and joint.cells.min() == 0.0
+        assert not joint.cells.flags.writeable
+        with pytest.raises(ValueError):
+            joint.cells[(0,) * len(shape)] = 0.5
+        assert cells.flat[0] < 0.0  # the caller's array is not written
 
 
 # ---------------------------------------------------------------------------
