@@ -75,7 +75,7 @@ def _fail(message: str, code: int) -> int:
 def _load_input(path: str, kind: str | None) -> InputData:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if p.suffix.lower() == ".csv":
@@ -87,7 +87,7 @@ def _load_input(path: str, kind: str | None) -> InputData:
         return InputData(observational=dist)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return parse_input_json(obj)
 

@@ -83,10 +83,19 @@ EFFECTS: dict[str, Effect] = {
 }
 
 
+def as_float(value, name: str) -> float:
+    """``value`` as a float; a number too large for one, such as a 400-digit
+    JSON integer, raises :class:`InvalidDistribution` instead of OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidDistribution(f"{name} is too large for a float") from None
+
+
 def _check_prob(value: float | None, name: str) -> float | None:
     if value is None:
         return None
-    v = float(value)
+    v = as_float(value, name)
     if not math.isfinite(v) or v < -get_tolerance() or v > 1.0 + get_tolerance():
         raise InvalidDistribution(f"{name} must be a probability in [0,1], got {value!r}")
     # + 0.0 turns -0.0 into 0.0, so records that compare equal hold the same
@@ -103,7 +112,7 @@ def check_unit(**values: float) -> None:
 
 def check_eps(eps: float) -> None:
     """Reject a radius that is not a positive finite number."""
-    if not (0.0 < eps < math.inf):
+    if not (0.0 < as_float(eps, "eps") < math.inf):
         raise InvalidDistribution(f"eps must be positive and finite, got {eps!r}")
 
 
@@ -299,7 +308,7 @@ class ConfounderSpec:
             raise InvalidDistribution("u_max is required")
         _check_probs(self, [name for name in self.__slots__ if name != "c"])
         if self.c is not None:
-            c = float(self.c)
+            c = as_float(self.c, "c")
             if not math.isfinite(c) or c <= 0:
                 raise InvalidDistribution(f"c must be a positive number, got {self.c!r}")
             object.__setattr__(self, "c", c)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
 from .config import get_tolerance
-from .distributions import ExperimentalDistribution, require_atoms
+from .distributions import ExperimentalDistribution, as_float, require_atoms
 from .errors import InvalidDistribution
 
 if TYPE_CHECKING:
@@ -45,7 +45,7 @@ class BenefitVector:
     def __post_init__(self) -> None:
         for name in ("beta", "gamma", "theta", "delta"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not math.isfinite(as_float(v, name)):
                 raise InvalidDistribution(f"{name} must be finite, got {v!r}")
 
     @property

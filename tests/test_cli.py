@@ -1,7 +1,11 @@
 import copy
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from epsident.config import DEFAULT_TOLERANCE, set_tolerance
 from epsident.forms import QUANTITIES
 from epsident.report import parse_json, render_json
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 RUNNING = {
     "experimental": {"p_y_do_x": 0.7, "p_y_do_xp": 0.3},
     "observational": {"p_xy": 0.4, "p_xyp": 0.1, "p_xpy": 0.2, "p_xpyp": 0.3},
@@ -37,6 +42,13 @@ INCOMPATIBLE = {
     "experimental": {"p_y_do_x": 0.3},
     "observational": {"p_xy": 0.4, "p_xyp": 0.1, "p_xpy": 0.2, "p_xpyp": 0.3},
 }
+# P(x,y) = 0 leaves pn undefined; the data are compatible
+ZERO_PXY = {
+    "experimental": {"p_y_do_x": 0.5, "p_y_do_xp": 0.3},
+    "observational": {"p_xy": 0.0, "p_xyp": 0.4, "p_xpy": 0.2, "p_xpyp": 0.4},
+}
+# a confounder section and no data atom
+CONFOUNDER_ONLY = {"confounder": {"u_max": 0.01, "p_x": 0.84, "p_y_given_x": 0.62, "c": 0.8}}
 
 TABLE1_CSV = (
     "arm,outcome,count\n"
@@ -115,6 +127,65 @@ class TestBounds:
         assert main(["bounds", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.out == ""
+
+    def test_zero_denominator_is_undefined(self, write, capsys):
+        path = write("zero.json", ZERO_PXY)
+        assert main(["bounds", path, "--json"]) == 0
+        report = parse_json(capsys.readouterr().out)["bounds"]
+        assert report["pn"] == {"status": "undefined", "reason": "P(x,y) = 0, pn is undefined"}
+        assert report["pns"]["lo"] == pytest.approx(0.3) and report["ps"]["lo"] == pytest.approx(0.75)
+        assert main(["bounds", path]) == 0
+        assert "PN          undefined: P(x,y) = 0, pn is undefined" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("digits", [401, 5001])
+    def test_oversized_integer_exits_2(self, digits, write, capsys):
+        # 401 digits overflow a float; 5,001 pass int_max_str_digits and stop json.loads
+        path = write("huge.json", '{"experimental": {"p_y_do_x": 1' + "0" * (digits - 1) + "}}")
+        for command in (["bounds"], ["epsident", "--minimal"], ["verify", "--trials", "0"]):
+            assert main([command[0], path, *command[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            if digits == 401:
+                assert captured.err == "error: p_y_do_x is too large for a float\n"
+            else:
+                assert captured.err.startswith(f"error: {path}: invalid JSON: Exceeds the limit")
+
+    def test_oversized_integer_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"confounder": {"u_max": 0.01, "c": 1' + "0" * 400 + "}}")
+        result = subprocess.run(
+            [sys.executable, "-m", "epsident.cli", "epsident", str(path), "--eps", "0.05",
+             "--confounder"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: c is too large for a float\n"
+
+    @pytest.mark.parametrize("name, payload, kind", [
+        ("table1.csv", TABLE1_CSV, ["--kind", "observational"]),
+        ("table2.csv", TABLE2_CSV, ["--kind", "experimental"]),
+        ("running.json", json.dumps(RUNNING), []),
+    ], ids=["csv-observational", "csv-experimental", "json"])
+    def test_byte_order_mark_is_read_like_plain_text(self, name, payload, kind, tmp_path, capsys):
+        # spreadsheet exports start with a UTF-8 byte-order mark
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(payload, encoding="utf-8")
+        marked.write_text(payload, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        for extra in (["bounds"], ["epsident", "--minimal", "--json"]):
+            outputs = []
+            for path in (plain, marked):
+                assert main([extra[0], str(path), *kind, *extra[1:]]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1]
+
+    def test_bad_env_tolerance_exits_2(self, write, capsys, monkeypatch):
+        path = write("running.json", RUNNING)
+        monkeypatch.setenv("EPSIDENT_TOLERANCE", "abc")
+        assert main(["bounds", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: EPSIDENT_TOLERANCE must be a number, got 'abc'\n"
         assert captured.out == ""
 
     def test_csv_requires_kind(self, write):
@@ -214,6 +285,44 @@ class TestEpsident:
         path = write("bad.json", INCOMPATIBLE)
         assert main(["epsident", path, "--eps", "0.1"]) == 3
 
+    def test_minimal_single_quantity(self, write, capsys):
+        path = write("running.json", RUNNING)
+        assert main(["epsident", path, "--minimal", "--quantity", "pn"]) == 0
+        assert capsys.readouterr().out == (
+            "epsident report\n===============\nPN          eps* = 0.125, q* = 0.875\n"
+        )
+
+    def test_zero_denominator_is_undefined(self, write, capsys):
+        path = write("zero.json", ZERO_PXY)
+        assert main(["epsident", path, "--eps", "0.05"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "PN: undefined: P(x,y) = 0, pn is undefined" in lines
+        assert "PNS: 2 condition(s) fired, 0 not evaluated" in lines
+        assert main(["epsident", path, "--minimal"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "PN          undefined: P(x,y) = 0, pn is undefined" in lines
+        assert "PS          eps* = 0.125, q* = 0.875" in lines
+        assert main(["epsident", path, "--minimal", "--quantity", "pn", "--json"]) == 0
+        assert parse_json(capsys.readouterr().out)["minimal"] == {
+            "pn": {"status": "undefined", "reason": "P(x,y) = 0, pn is undefined"}
+        }
+
+    @pytest.mark.parametrize("data, extra, message", [
+        (RUNNING, [], "confounder mode needs u_max (flag --u-max or input section)"),
+        (CONFOUNDER_ONLY, ["--c", "abc"], "--c must be a number or 'auto', got 'abc'"),
+        ({"confounder": {"u_max": 0.01}}, [],
+         "confounder mode needs P(x) and P(y|x), from the confounder section or a full treated column"),
+    ], ids=["no-u_max", "bad-c", "no-p_x"])
+    def test_confounder_refusals(self, data, extra, message, write, capsys):
+        path = write("conf.json", data)
+        assert main(["epsident", path, "--eps", "0.05", "--confounder", *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_minimal_refuses_confounder_mode(self, write, capsys):
+        path = write("conf.json", CONFOUNDER_ONLY)
+        assert main(["epsident", path, "--minimal", "--confounder"]) == 2
+        assert capsys.readouterr() == ("", "error: --minimal does not apply to --confounder mode\n")
+
     def test_every_command_prints_one_refusal(self, write, capsys):
         path = write("bad.json", INCOMPATIBLE)
         errs = []
@@ -267,6 +376,11 @@ class TestUnitSelect:
         assert code == 0
         report = parse_json(capsys.readouterr().out)
         assert report["benefit"]["sign"] == "indeterminate"
+
+    def test_without_experimental_section_exits_2(self, write, capsys):
+        path = write("obs.json", {"observational": RUNNING["observational"]})
+        assert main(["unit-select", path, "--payoffs", "1", "2", "3", "4"]) == 2
+        assert capsys.readouterr() == ("", "error: unit-select needs experimental data (both arms)\n")
 
     def test_missing_arm_exits_2(self, write):
         path = write("partial.json", {"experimental": {"p_y_do_x": 0.6}})
@@ -329,6 +443,29 @@ class TestVerify:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["confounder-sandwich"]["passed"]
         assert by_name["confounder-sandwich"]["details"].startswith("skipped")
+
+    def test_zero_denominator_skips_pn(self, write, capsys):
+        path = write("zero.json", ZERO_PXY)
+        assert main(["verify", path, "--trials", "3", "--json"]) == 0
+        by_name = {c["name"]: c for c in parse_json(capsys.readouterr().out)["checks"]}
+        assert by_name["input-tightness"]["passed"]
+        assert by_name["input-tightness"]["details"].startswith("pns err ")
+        assert ", ps err " in by_name["input-tightness"]["details"]
+        assert "pn err" not in by_name["input-tightness"]["details"]
+        assert by_name["input-eps-soundness"] == {
+            "name": "input-eps-soundness", "passed": True,
+            "details": "27 fired identifications contained the oracle range",
+        }
+
+    def test_confounder_only_input_has_no_polytope(self, write, capsys):
+        path = write("conf.json", CONFOUNDER_ONLY)
+        assert main(["verify", path, "--trials", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith(("PASS input-feasibility", "FAIL input-")) for line in lines)
+        assert "PASS input-compatibility: 0 checks passed, 8 not evaluated" in lines
+        assert ("PASS confounder-sandwich: model range [0.6138, 0.6238] inside the sandwich "
+                "for 8 slack values") in lines
+        assert lines[-1] == "overall: PASS"
 
     def test_negative_trials_exits_2(self, write, capsys):
         path = write("running.json", RUNNING)

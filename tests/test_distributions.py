@@ -17,7 +17,7 @@ from epsident import (
     parse_counts_csv,
     parse_input_json,
 )
-from epsident.distributions import present_atoms, require_atoms
+from epsident.distributions import check_eps, present_atoms, require_atoms
 
 counts_st = st.integers(min_value=0, max_value=10_000)
 
@@ -90,6 +90,38 @@ class TestValidation:
         with pytest.raises(InvalidDistribution, match="u_max is required"):
             ConfounderSpec(None, p_x=0.5, c=0.1)
         assert ConfounderSpec(0.01).u_max == 0.01
+
+
+# integers a JSON file may hold that no float can: 401 digits overflow a
+# float, and 5,001 also exceed the limit for turning an int into a string
+HUGE = [10**400, 10**5000]
+
+
+@pytest.mark.parametrize("huge", HUGE, ids=["401-digits", "5001-digits"])
+class TestNumbersTooLargeForAFloat:
+    @pytest.mark.parametrize("record, field", [
+        (ExperimentalDistribution, "p_y_do_x"),
+        (ObservationalDistribution, "p_xpyp"),
+        (Assumptions, "p_y_max"),
+    ])
+    def test_probability_fields(self, huge, record, field):
+        with pytest.raises(InvalidDistribution) as info:
+            record(**{field: huge})
+        assert str(info.value) == f"{field} is too large for a float"
+
+    @pytest.mark.parametrize("field", ["u_max", "p_x", "c"])
+    def test_confounder_fields(self, huge, field):
+        with pytest.raises(InvalidDistribution) as info:
+            ConfounderSpec(**{"u_max": 0.01, field: huge})
+        assert str(info.value) == f"{field} is too large for a float"
+
+    def test_eps(self, huge):
+        with pytest.raises(InvalidDistribution, match="eps is too large for a float"):
+            check_eps(huge)
+
+    def test_json_ingestion_raises_parse_error(self, huge):
+        with pytest.raises(ParseError, match="p_xy is too large for a float"):
+            parse_input_json({"observational": {"p_xy": huge}})
 
 
 class TestCompatibility:

@@ -607,6 +607,14 @@ class TestRefusalsAfterProfiling:
             with pytest.raises(InvalidDistribution, match="eps must be positive"):
                 eps_identify_effects(eps, running_obs)
 
+    @pytest.mark.parametrize("eps", [10**400, 10**5000], ids=["401-digits", "5001-digits"])
+    def test_eps_too_large_for_a_float_is_refused(self, eps, running_exp, running_obs):
+        # the radius compares below inf as an int, but 2*eps overflows a float
+        for call in (lambda: eps_identify_pns(running_exp, running_obs, eps),
+                     lambda: eps_identify_effects(eps, running_obs)):
+            with pytest.raises(InvalidDistribution, match="eps is too large for a float"):
+                call()
+
     def test_zero_denominator_before_incompatible(self):
         # P(x,y) = 0 and P(y_x) = 0.9 > 1 - P(x,y'): both refusals apply
         exp = ExperimentalDistribution(0.9, 0.3)

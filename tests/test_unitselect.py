@@ -18,6 +18,15 @@ from epsident.report import render_json
 payoff = st.floats(min_value=-500, max_value=500, allow_nan=False)
 
 
+@pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["401-digits", "5001-digits"])
+@pytest.mark.parametrize("field", ["beta", "delta"])
+def test_payoff_too_large_for_a_float(huge, field):
+    payoffs = {"beta": 1, "gamma": 0, "theta": 0, "delta": 0, field: huge}
+    with pytest.raises(InvalidDistribution) as info:
+        BenefitVector(**payoffs)
+    assert str(info.value) == f"{field} is too large for a float"
+
+
 class TestBenefitIdentification:
     def test_discount_scenario(self, discount_exp):
         payoffs = BenefitVector(100, -60, 0, -140)

@@ -37,6 +37,7 @@ SHAPES = (
     ["epsident", "--eps", "0.05", "--quantity", "pns"],
     ["epsident", "--eps", "0.05", "--quantity", "effect"],
     ["epsident", "--minimal"],
+    ["epsident", "--minimal", "--quantity", "pn"],
     ["epsident", "--minimal", "--quantity", "effect"],
     ["unit-select", "--payoffs", "{payoffs}"],
     ["verify", "--trials", "2"],
@@ -67,7 +68,8 @@ def inputs() -> list[tuple[str, str, list[str], list[str], bool]]:
         for k, study in enumerate(studies.make_round(SEED, i, True)):
             out.append((f"r{i}-{k}.json", study["text"], [], [repr(v) for v in study["payoffs"]],
                         "confounder" in study["data"]))
-    for name in ("RUNNING", "MEDICINE", "FLU", "PARTIAL", "INCOMPATIBLE"):
+    for name in ("RUNNING", "MEDICINE", "FLU", "PARTIAL", "INCOMPATIBLE", "ZERO_PXY",
+                 "CONFOUNDER_ONLY"):
         data = getattr(fixtures, name)
         out.append((f"{name.lower()}.json", json.dumps(data), [], list(FIXTURE_PAYOFFS),
                     "confounder" in data))
