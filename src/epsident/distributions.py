@@ -106,7 +106,7 @@ def _check_prob(value: float | None, name: str) -> float | None:
 def check_unit(**values: float) -> None:
     """Reject the first named value outside [0,1]; the comparison also rejects NaN and inf."""
     for name, v in values.items():
-        if not (0.0 <= v <= 1.0):
+        if not (0.0 <= as_float(v, name) <= 1.0):
             raise InvalidDistribution(f"{name} must be in [0,1], got {v!r}")
 
 

@@ -323,7 +323,7 @@ def feasible_range(
     ranging several targets over one dataset.
 
     pn and ps are ratios with data-fixed denominators, hence linear; they are
-    ``Unsupported`` without the observational joint.
+    ``Unsupported`` without their denominator cell (see ``catalog.TARGETS``).
     """
     if target == "benefit":
         if payoffs is None:
@@ -344,7 +344,8 @@ def feasible_range(
     if vertices is None:
         vertices = feasible_vertices(exp, obs, assumptions)
     values = (vertices @ obj).tolist()
-    # a sum of finite values can overflow, and Python's min and max could skip a NaN
+    # the sum is not finite when a value is NaN or infinite (Python's min and
+    # max could skip a NaN), but also when finite values overflow it
     if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
         raise EmptyInterval(f"{target} takes a non-finite value on a vertex")
     # dividing by a positive den is monotone, so only the two ends need it

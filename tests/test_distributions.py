@@ -17,7 +17,7 @@ from epsident import (
     parse_counts_csv,
     parse_input_json,
 )
-from epsident.distributions import check_eps, present_atoms, require_atoms
+from epsident.distributions import check_eps, check_unit, present_atoms, require_atoms
 
 counts_st = st.integers(min_value=0, max_value=10_000)
 
@@ -118,6 +118,11 @@ class TestNumbersTooLargeForAFloat:
     def test_eps(self, huge):
         with pytest.raises(InvalidDistribution, match="eps is too large for a float"):
             check_eps(huge)
+
+    def test_unit_interval(self, huge):
+        # the confounder routes take P(x), P(y|x) and u_max through check_unit
+        with pytest.raises(InvalidDistribution, match="p_x is too large for a float"):
+            check_unit(p_y_given_x=0.5, p_x=huge)
 
     def test_json_ingestion_raises_parse_error(self, huge):
         with pytest.raises(ParseError, match="p_xy is too large for a float"):
