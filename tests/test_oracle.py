@@ -596,7 +596,7 @@ class TestJointArrayCheck:
 
     @pytest.mark.parametrize("bad", [np.nan, -0.1])
     def test_nan_or_negative_cell(self, cls, shape, name, bad):
-        # the other cells sum to 1 - bad, so only the bad cell can fail the checks
+        # a finite bad value leaves the cells summing to 1, so only the sign check can fail
         cells = np.full(shape, 1 / 8)
         cells.flat[3] = bad
         cells.flat[4] = 0.25 if np.isnan(bad) else 0.25 - bad
