@@ -87,7 +87,8 @@ def _load_input(path: str, kind: str | None) -> InputData:
         return InputData(observational=dist)
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
+    # JSONDecodeError, an integer past int_max_str_digits, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return parse_input_json(obj)
 

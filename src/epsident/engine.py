@@ -15,9 +15,10 @@ Only the threshold depends on eps.  A scan is therefore split in two: a
 profile, built once per target, dataset and tolerance, holds the ranges, the
 refusals, each evaluated entry's premise value and center, and the
 not-evaluated records; its ``at(eps)`` compares the premise values with
-``2*eps*den`` and builds the report.  Profiles and ranges sit in small
-bounded caches keyed by the (frozen, hashable) records and the tolerance,
-so a sweep over radii pays for one scan; a refusal is raised, never cached.
+``2*eps*den`` and builds the report, whose tightest entry is the first that
+fires.  Profiles and ranges sit in small bounded caches keyed by the
+(frozen, hashable) records and the tolerance, so a sweep over radii pays for
+one scan; a refusal is raised, never cached.
 Which entries a dataset evaluates, and the records of those it cannot,
 depend only on its pattern of informative and exact quantities: a plan per
 target and pattern holds them, so each profile only does its arithmetic.
@@ -29,13 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import catalog
-from .bounds import (
-    bound_arguments,
-    effect_bounds,
-    refuse_incompatible,
-    target_bounds,
-    tight_interval,
-)
+from .bounds import effect_bounds, refuse_incompatible, target_bounds
 from .config import get_tolerance
 from .distributions import (
     EFFECTS,
@@ -48,7 +43,7 @@ from .distributions import (
     check_unit,
     present_atoms,
 )
-from .errors import Incompatible, InvalidDistribution, MissingData, ZeroDenominator
+from .errors import Incompatible, InvalidDistribution
 from .forms import (
     CELL_ATOMS,
     COMPLEMENTS,
@@ -206,7 +201,11 @@ class NotEvaluated:
 
 @dataclass(frozen=True, slots=True)
 class EpsReport:
-    """Everything the pair-scan produced for one quantity at one radius."""
+    """Everything the pair-scan produced for one quantity at one radius.
+
+    ``tightest`` is the first fired entry in catalog order.  Fired intervals
+    share the width ``2*eps`` and on full data each sound one contains the
+    tight bounds, so cut to them all tie: it is also the narrowest."""
 
     quantity: str
     eps: float
@@ -238,58 +237,32 @@ def _ranges(exp, obs, assumptions, tol: float) -> QuantityRanges:
 
 class _Profile:
     """The eps-free part of one catalog scan: each evaluated entry's premise
-    value and center, every not-evaluated record, and, once something fires,
-    the tight interval that ranks the fired entries."""
+    value and center, and every not-evaluated record."""
 
-    def __init__(self, quantity, exp, obs, den, tol, evaluated, skipped) -> None:
-        self.quantity, self.exp, self.obs, self.den, self.tol = quantity, exp, obs, den, tol
+    def __init__(self, quantity, den, tol, evaluated, skipped) -> None:
+        self.quantity, self.den, self.tol = quantity, den, tol
         self.evaluated = evaluated
         self.skipped = skipped
-
-    @cached_property
-    def tight(self) -> Interval | None:
-        """The tight bounds, when the data give them; compatibility was
-        refused when the profile was built, so it is not checked again."""
-        if self.exp is None or self.obs is None:
-            return None
-        try:
-            return tight_interval(bound_arguments(self.quantity, self.exp, self.obs))
-        except (MissingData, ZeroDenominator):
-            return None
 
     def at(self, eps: float) -> EpsReport:
         """The scan's report at radius ``eps``: an entry fires when its premise
         value is at most ``2*eps*den`` plus the tolerance."""
         threshold = 2.0 * eps * self.den
         limit = threshold + self.tol
-        fired: list[tuple[int, EpsIdentification]] = []
-        for index, premise_value, center, sign, entry_id, premise, threshold_label, center_label \
+        fired: list[EpsIdentification] = []
+        for premise_value, center, sign, entry_id, premise, threshold_label, center_label \
                 in self.evaluated:
             if premise_value > limit:
                 continue
             condition = Condition(
                 entry_id, premise, premise_value, threshold_label, threshold, center_label
             )
-            fired.append((index, EpsIdentification(self.quantity, center + sign * eps, eps, condition)))
-
-        tightest = None
-        if fired:
-            tight = self.tight
-
-            def sort_key(item):
-                index, ident = item
-                width = 2.0 * ident.eps
-                if tight is not None:
-                    width = ident.certified.intersect(tight).width
-                return (width, index)
-
-            tightest = min(fired, key=sort_key)[1]
-
+            fired.append(EpsIdentification(self.quantity, center + sign * eps, eps, condition))
         return EpsReport(
             quantity=self.quantity,
             eps=eps,
-            fired=tuple(ident for _, ident in fired),
-            tightest=tightest,
+            fired=tuple(fired),
+            tightest=fired[0] if fired else None,
             not_evaluated=self.skipped,
         )
 
@@ -303,15 +276,15 @@ _PLAN_CACHE_SIZE = 256
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(quantity: str, pattern: tuple[tuple[bool, bool], ...]):
     """The catalog scan of one target as far as the data pattern decides it:
-    each entry to evaluate as (index, premise terms, center terms, the rest
-    of its profile row), and the shared not-evaluated records."""
+    each entry to evaluate as (premise terms, center terms, the rest of its
+    profile row), and the shared not-evaluated records."""
     target = catalog.target(quantity)
     informative = {name: flag for name, (flag, _) in zip(QUANTITIES, pattern)}
     exact = {name: flag for name, (_, flag) in zip(QUANTITIES, pattern)}
     denominator = target.denominator
     evaluate = []
     skipped: list[NotEvaluated] = []
-    for index, entry in enumerate(target.entries):
+    for entry in target.entries:
         missing: list[str] = []
         if denominator is not None and not exact[denominator]:
             missing.append(denominator)
@@ -323,7 +296,7 @@ def _plan(quantity: str, pattern: tuple[tuple[bool, bool], ...]):
                 NotEvaluated(entry.entry_id, entry.premise_label, entry.center_label, tuple(ordered))
             )
             continue
-        evaluate.append((index, entry.premise.terms, entry.center.terms, (
+        evaluate.append((entry.premise.terms, entry.center.terms, (
             entry.center_sign, entry.entry_id, entry.premise_label, entry.threshold_label,
             entry.center_label,
         )))
@@ -345,10 +318,10 @@ def _profile(quantity: str, exp, obs, assumptions, tol: float) -> _Profile:
 
     plan, skipped = _plan(quantity, ranges._pattern)
     evaluated = tuple(
-        (index, ranges.upper_value(premise), ranges.exact_value(center) / den, *rest)
-        for index, premise, center, rest in plan
+        (ranges.upper_value(premise), ranges.exact_value(center) / den, *rest)
+        for premise, center, rest in plan
     )
-    return _Profile(quantity, exp, obs, den, tol, evaluated, skipped)
+    return _Profile(quantity, den, tol, evaluated, skipped)
 
 
 def eps_identify(

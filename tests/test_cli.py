@@ -162,6 +162,17 @@ class TestBounds:
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == "error: c is too large for a float\n"
 
+    def test_deeply_nested_json_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        result = subprocess.run(
+            [sys.executable, "-m", "epsident.cli", "bounds", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(f"error: {path}: invalid JSON: maximum recursion depth")
+        assert result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("name, payload, kind", [
         ("table1.csv", TABLE1_CSV, ["--kind", "observational"]),
         ("table2.csv", TABLE2_CSV, ["--kind", "experimental"]),
@@ -280,6 +291,21 @@ class TestEpsident:
         for command in (["epsident", "--minimal"], ["bounds"]):
             assert main([command[0], path, *command[1:]]) == 0
             assert line in capsys.readouterr().out.splitlines()
+
+    def test_loose_env_tolerance_still_reports(self, write, monkeypatch, capsys):
+        # sample_joint(7): under tol 0.05 pn entries fire whose intervals
+        # miss the tight bounds; the scan reports them rather than failing
+        data = {
+            "experimental": {"p_y_do_x": 0.33276570045152665, "p_y_do_xp": 0.4458502169257787},
+            "observational": {"p_xy": 0.1328482479126492, "p_xyp": 0.022516859215322253,
+                              "p_xpy": 0.38564508022971833, "p_xpyp": 0.4589898126423101},
+        }
+        path = write("in.json", data)
+        monkeypatch.setenv("EPSIDENT_TOLERANCE", "0.05")
+        assert main(["epsident", path, "--eps", "0.05"]) == 0
+        captured = capsys.readouterr()
+        assert "(tightest)" in captured.out
+        assert captured.err == ""
 
     def test_incompatible_exits_3(self, write):
         path = write("bad.json", INCOMPATIBLE)

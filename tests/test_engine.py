@@ -25,7 +25,7 @@ from epsident import (
     sample_joint,
 )
 from epsident import catalog, engine
-from epsident.bounds import bound_arguments, refuse_incompatible, tight_interval
+from epsident.bounds import refuse_incompatible
 from epsident.cli import EPS_SWEEP
 from epsident.config import get_tolerance, set_tolerance
 from epsident.distributions import EFFECTS, Condition, check_eps
@@ -36,7 +36,7 @@ from epsident.engine import (
     QuantityRanges,
     eps_identify,
 )
-from epsident.errors import EpsidentError, MissingData
+from epsident.errors import EpsidentError
 from epsident.forms import QUANTITIES, QUANTITY_LABELS
 from epsident.interval import Interval
 
@@ -122,9 +122,9 @@ def _reference_scan(quantity, exp=None, obs=None, eps=0.0, assumptions=None) -> 
     target.require_denominator(den_value)
     refuse_incompatible(exp, obs)
 
-    fired: list[tuple[int, EpsIdentification]] = []
+    fired: list[EpsIdentification] = []
     skipped: list[NotEvaluated] = []
-    for index, entry in enumerate(target.entries):
+    for entry in target.entries:
         missing: list[str] = []
         if denominator is not None and den_value is None:
             missing.append(denominator)
@@ -156,31 +156,13 @@ def _reference_scan(quantity, exp=None, obs=None, eps=0.0, assumptions=None) -> 
             threshold_value=threshold,
             center=entry.center_label,
         )
-        fired.append((index, EpsIdentification(quantity, q, eps, condition)))
-
-    tightest = None
-    if fired:
-        tight = None
-        if exp is not None and obs is not None:
-            try:
-                tight = tight_interval(bound_arguments(quantity, exp, obs))
-            except (MissingData, ZeroDenominator):
-                pass
-
-        def sort_key(item):
-            index, ident = item
-            width = 2.0 * ident.eps
-            if tight is not None:
-                width = ident.certified.intersect(tight).width
-            return (width, index)
-
-        tightest = min(fired, key=sort_key)[1]
+        fired.append(EpsIdentification(quantity, q, eps, condition))
 
     return EpsReport(
         quantity=quantity,
         eps=eps,
-        fired=tuple(ident for _, ident in fired),
-        tightest=tightest,
+        fired=tuple(fired),
+        tightest=fired[0] if fired else None,
         not_evaluated=tuple(skipped),
     )
 
@@ -444,6 +426,19 @@ class TestSoundnessAgainstOracle:
                     for ident in scans[name](exp, obs, eps).fired:
                         assert ident.certified.contains_interval(tight)
 
+    def test_loose_tolerance_takes_first_fired(self):
+        # under tol 0.05 these entries fire within the tolerance and their
+        # intervals miss the tight bounds; the scan must still report
+        scenario = sample_joint(7)
+        before = get_tolerance()
+        try:
+            set_tolerance(0.05)
+            report = eps_identify("pn", scenario.experimental, scenario.observational, 0.05)
+        finally:
+            set_tolerance(before)
+        assert report.fired
+        assert report.tightest is report.fired[0]
+
 
 @st.composite
 def datasets(draw):
@@ -543,7 +538,10 @@ class TestEpsFreeProfile:
                     set_tolerance(tol)
                 for quantity in catalog.TARGETS:
                     args = (quantity, exp, obs, eps, assumptions)
-                    assert _outcome(eps_identify, *args) == _outcome(_reference_scan, *args)
+                    report = _outcome(eps_identify, *args)
+                    assert report == _outcome(_reference_scan, *args)
+                    if isinstance(report, EpsReport):
+                        assert report.tightest is (report.fired[0] if report.fired else None)
                 args = (eps, obs, assumptions)
                 assert _outcome(eps_identify_effects, *args) == _outcome(_reference_effects, *args)
         finally:

@@ -11,6 +11,12 @@ checkout that holds this script, so two trees see the same calls.  Each call
 runs in text and in ``--json``, and prints one line: the argv, the exit code
 and hashes of stdout and stderr.  Diffing the output of two trees checks
 that a refactor leaves the command line byte-identical.
+
+A second pass runs the ``epsident --eps 0.05`` and ``verify --trials 2``
+calls once more with ``EPSIDENT_TOLERANCE=0.05``, a loose user-set
+tolerance; their lines start with that setting.  The CLI applies the
+environment's tolerance process-wide, so the default is restored after each
+of these calls.
 """
 
 from __future__ import annotations
@@ -49,6 +55,12 @@ CONFOUNDER_SHAPES = (
     ["epsident", "--minimal", "--confounder"],
 )
 FIXTURE_PAYOFFS = ("100", "-60", "0", "-140")
+# the shapes run again under a loose tolerance from the environment
+LOOSE_TOLERANCE = "0.05"
+LOOSE_SHAPES = (
+    ["epsident", "--eps", "0.05"],
+    ["verify", "--trials", "2"],
+)
 
 
 def _load(name: str, path: Path):
@@ -79,34 +91,43 @@ def inputs() -> list[tuple[str, str, list[str], list[str], bool]]:
     return out
 
 
-def calls() -> list[tuple[list[str], str, str]]:
-    """(argv, file name, file text) of every call, text and --json."""
-    out = []
-    for name, text, kind, payoffs, confounded in inputs():
-        for shape in SHAPES + (CONFOUNDER_SHAPES if confounded else ()):
-            argv = [shape[0], name, *kind]
-            for a in shape[1:]:
-                argv += payoffs if a == "{payoffs}" else [a]
-            out.append((argv, name, text))
-            out.append((argv + ["--json"], name, text))
+def calls() -> list[tuple[str | None, list[str], str, str]]:
+    """(environment tolerance, argv, file name, file text) of every call, text
+    and --json: the default-tolerance pass, then the loose-tolerance pass."""
+    out, data = [], inputs()
+    for tolerance, shapes in ((None, None), (LOOSE_TOLERANCE, LOOSE_SHAPES)):
+        for name, text, kind, payoffs, confounded in data:
+            for shape in shapes or SHAPES + (CONFOUNDER_SHAPES if confounded else ()):
+                argv = [shape[0], name, *kind]
+                for a in shape[1:]:
+                    argv += payoffs if a == "{payoffs}" else [a]
+                out.append((tolerance, argv, name, text))
+                out.append((tolerance, argv + ["--json"], name, text))
     return out
 
 
 def sweep(tree: Path):
-    """Yield (argv, exit code, stdout, stderr) of every call against ``tree``."""
+    """Yield (environment tolerance, argv, exit code, stdout, stderr) of every
+    call against ``tree``."""
     sys.path.insert(0, str(tree / "src"))
     os.environ.pop("EPSIDENT_TOLERANCE", None)
     work = calls()  # the fixtures import epsident, so after the path is set
     from epsident.cli import main
+    from epsident.config import DEFAULT_TOLERANCE, set_tolerance
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for argv, name, text in work:
+        for tolerance, argv, name, text in work:
             Path(name).write_text(text)
+            if tolerance is not None:
+                os.environ["EPSIDENT_TOLERANCE"] = tolerance
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            yield argv, code, out.getvalue(), err.getvalue()
+            if tolerance is not None:
+                os.environ.pop("EPSIDENT_TOLERANCE")
+                set_tolerance(DEFAULT_TOLERANCE)
+            yield tolerance, argv, code, out.getvalue(), err.getvalue()
 
 
 def _digest(text: str) -> str:
@@ -117,8 +138,9 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/cli_sweep.py TREE", file=sys.stderr)
         return 2
-    for call, code, out, err in sweep(Path(argv[0]).resolve()):
-        print(" ".join(call), code, _digest(out), _digest(err))
+    for tolerance, call, code, out, err in sweep(Path(argv[0]).resolve()):
+        setting = [] if tolerance is None else [f"EPSIDENT_TOLERANCE={tolerance}"]
+        print(" ".join(setting + call), code, _digest(out), _digest(err))
     return 0
 
 
