@@ -94,9 +94,9 @@ from .unitselect import (
 
 __version__ = "0.1.0"
 
-# The oracle, the only module that imports numpy at load time, is imported on
-# first access to one of its names (PEP 562), so that the closed forms and
-# the CLI commands built on them start without numpy.
+# The oracle is imported on first access to one of its names (PEP 562), so
+# that the closed forms and the CLI commands built on them do not compile its
+# code.  The oracle itself loads numpy only at its first call that computes.
 _ORACLE_EXPORTS = (
     "ResponseTypeJoint",
     "SampledScenario",

@@ -448,7 +448,7 @@ def _eps_soundness(exp, obs, assume, oracle_range, effects: bool) -> tuple[int, 
 
 
 def cmd_verify(args) -> dict:
-    from . import oracle as oracle_mod  # numpy: only verify pays for it
+    from . import oracle as oracle_mod  # only verify runs the oracle, and so loads numpy
 
     data = _load_input(args.input, args.kind)
     checks: list[dict] = []

@@ -28,6 +28,13 @@ from the data to every basic solution.  A call then only checks the data
 against the dependent rows, applies that map in one matrix-vector product
 and keeps the distinct feasible solutions.
 
+numpy loads on the oracle's first call that computes, not when the module
+or one of its names is imported: :func:`_load` imports it and builds the
+constraint rows and objectives, and every function that needs them checks
+``_loaded`` first.  A caller that only names the oracle's functions (a
+dispatch table, ``from epsident import *``) loads neither numpy nor the
+tables.
+
 The confounder graph U -> X, U -> Y, X -> Y has its own oracle,
 :func:`confounded_effect_range`: the exact range of P(y_x) in closed form,
 derived from the model's parameters alone (see its docstring).  It is pure
@@ -40,9 +47,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import TARGETS
 from .confounded import ConfoundedScm, confounded_effect_range, grid_scms  # re-exported
@@ -57,6 +62,9 @@ from .distributions import (
 from .errors import EmptyInterval, Infeasible, MissingData, Unsupported
 from .forms import QUANTITY_ATOMS
 from .interval import Interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RESPONSE_TYPES",
@@ -75,32 +83,55 @@ RESPONSE_TYPES = ("complier", "always_taker", "never_taker", "defier")
 # flat variable order: (type, x-state) row-major over the table above
 _N = 8
 
-_ROWS = {
-    # experimental marginals
-    "p_y_do_x": np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=float),
-    "p_y_do_xp": np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=float),
-    # observational cells
-    "p_xy": np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=float),
-    "p_xyp": np.array([0, 0, 0, 0, 1, 0, 1, 0], dtype=float),
-    "p_xpy": np.array([0, 0, 0, 1, 0, 0, 0, 1], dtype=float),
-    "p_xpyp": np.array([0, 1, 0, 0, 0, 1, 0, 0], dtype=float),
-}
+# set by _load, last, once numpy and the tables below are in place
+_loaded = False
 
-_MARGINAL_ROWS = {
-    bound: sum(_ROWS[cell] for cell in QUANTITY_ATOMS[bound.removesuffix("_max")])
-    for bound in Assumptions.__slots__
-}
 
-_OBJECTIVES = {
-    "pns": np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=float),
-    "y_x": _ROWS["p_y_do_x"],
-    "yp_x": 1.0 - _ROWS["p_y_do_x"],
-    "y_xp": _ROWS["p_y_do_xp"],
-    "yp_xp": 1.0 - _ROWS["p_y_do_xp"],
-    # pn/ps numerators; the known denominator is divided through afterwards
-    "pn": np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=float),
-    "ps": np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=float),
-}
+def _load() -> None:
+    """Import numpy and build ``_ROWS``, ``_MARGINAL_ROWS`` and ``_OBJECTIVES``.
+
+    Idempotent, and safe when threads race to it: each call builds the same
+    tables, and the flag is set only after all of them are bound, so a
+    caller that sees it set finds every table.
+    """
+    global np, _ROWS, _MARGINAL_ROWS, _OBJECTIVES, _loaded
+    import numpy as np
+
+    rows = {
+        # experimental marginals
+        "p_y_do_x": np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=float),
+        "p_y_do_xp": np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=float),
+        # observational cells
+        "p_xy": np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=float),
+        "p_xyp": np.array([0, 0, 0, 0, 1, 0, 1, 0], dtype=float),
+        "p_xpy": np.array([0, 0, 0, 1, 0, 0, 0, 1], dtype=float),
+        "p_xpyp": np.array([0, 1, 0, 0, 0, 1, 0, 0], dtype=float),
+    }
+    marginal_rows = {
+        bound: sum(rows[cell] for cell in QUANTITY_ATOMS[bound.removesuffix("_max")])
+        for bound in Assumptions.__slots__
+    }
+    objectives = {
+        "pns": np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=float),
+        "y_x": rows["p_y_do_x"],
+        "yp_x": 1.0 - rows["p_y_do_x"],
+        "y_xp": rows["p_y_do_xp"],
+        "yp_xp": 1.0 - rows["p_y_do_xp"],
+        # pn/ps numerators; the known denominator is divided through afterwards
+        "pn": np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=float),
+        "ps": np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=float),
+    }
+    _ROWS, _MARGINAL_ROWS, _OBJECTIVES = rows, marginal_rows, objectives
+    _loaded = True
+
+
+def __getattr__(name: str):
+    # the tables exist as module globals only once _load has run
+    if name in ("_ROWS", "_MARGINAL_ROWS", "_OBJECTIVES"):
+        _load()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # row reduction: a column whose largest remaining entry is at most this has no pivot
 _PIVOT_TOL = 1e-12
@@ -124,12 +155,17 @@ class ResponseTypeJoint:
     __slots__ = ("cells",)
 
     def __init__(self, cells) -> None:
+        if not _loaded:
+            _load()
         self.cells = check_joint(cells, (4, 2), "response-type joint")
 
     def as_vector(self) -> np.ndarray:
         return self.cells.reshape(-1)
 
     def type_marginal(self, name: str) -> float:
+        if name not in RESPONSE_TYPES:
+            raise Unsupported(
+                f"unknown response type {name!r}; expected one of {', '.join(RESPONSE_TYPES)}")
         return float(self.cells[RESPONSE_TYPES.index(name)].sum())
 
     # forward maps -----------------------------------------------------
@@ -179,6 +215,8 @@ def sample_joint(seed: int, defier_free: bool = False) -> SampledScenario:
     The induced pair is compatible by construction.  With ``defier_free``
     the defier row is zero, i.e. the sampled model is monotone.
     """
+    if not _loaded:
+        _load()
     rng = np.random.default_rng(seed)
     if defier_free:
         cells = np.zeros((4, 2))
@@ -206,6 +244,8 @@ def _row_reduce(A: np.ndarray):
     map ``T`` with ``bred = T @ b`` and the rows ``N`` with ``N @ b`` the
     residue that dependent rows leave of any right-hand side.
     """
+    if not _loaded:
+        _load()
     n_rows, n_cols = A.shape
     M = np.hstack([A, np.eye(n_rows)])
     r = 0
@@ -244,6 +284,8 @@ _PATTERN_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_PATTERN_CACHE_SIZE)
 def _pattern_system(names: tuple[str, ...]) -> _PatternSystem:
+    if not _loaded:
+        _load()
     n_slack = sum(name in _MARGINAL_ROWS for name in names)
     A = np.zeros((len(names) + 1, _N + n_slack))
     A[0, :_N] = 1.0
@@ -282,6 +324,8 @@ def feasible_vertices(
     bounds are dropped).  Raises :class:`Infeasible` when no joint matches
     the supplied data.
     """
+    if not _loaded:
+        _load()
     names, values = _atoms(exp, obs, assumptions)
     system = _pattern_system(names)
     b = np.array([1.0, *values])
@@ -325,6 +369,8 @@ def feasible_range(
     pn and ps are ratios with data-fixed denominators, hence linear; they are
     ``Unsupported`` without their denominator cell (see ``catalog.TARGETS``).
     """
+    if not _loaded:
+        _load()
     if target == "benefit":
         if payoffs is None:
             raise Unsupported("benefit target requires payoffs")

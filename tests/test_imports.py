@@ -1,6 +1,7 @@
-"""numpy is loaded only by the oracle and by ``distributions.check_joint``,
-the array check a joint runs when built, and the package's public names stay
-the same whether or not the oracle has been imported."""
+"""numpy is loaded only by the oracle's first call that computes and by
+``distributions.check_joint``, the array check a joint runs when built:
+importing the oracle or naming its functions loads no numpy.  The package's
+public names stay the same whether or not the oracle has been imported."""
 
 import json
 import os
@@ -57,17 +58,56 @@ ep.eps_identify_pns(exp, obs, 0.05)
 ep.minimal_epsilon("pns", exp, obs)
 ep.eps_identify_benefit(ep.BenefitVector(100, -60, 0, -140), exp)
 """
+# a fresh interpreter's first feasible_vertices calls, made by one thread per
+# input after a barrier (so that they race to load numpy and the oracle's
+# tables) or in turn by the main thread; prints each result's bytes, in hex
+FIRST_CALLS = """
+import sys, threading
+import epsident as ep
+assert "numpy" not in sys.modules
+exp = ep.ExperimentalDistribution(p_y_do_x=0.7, p_y_do_xp=0.3)
+obs = ep.ObservationalDistribution(p_xy=0.4, p_xyp=0.1, p_xpy=0.2, p_xpyp=0.3)
+# the same input twice races the pattern cache as well
+inputs = [
+    (exp, obs, None),
+    (exp, obs, None),
+    (exp, None, None),
+    (None, obs, ep.Assumptions(p_y_max=0.65)),
+]
+out = [None] * len(inputs)
+
+def first_call(k):
+    out[k] = ep.feasible_vertices(*inputs[k]).tobytes().hex()
+
+if {threaded}:
+    barrier = threading.Barrier(len(inputs))
+    threads = [threading.Thread(target=lambda k=k: (barrier.wait(), first_call(k)))
+               for k in range(len(inputs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+else:
+    for k in range(len(inputs)):
+        first_call(k)
+print(*out)
+"""
 
 
-def loads_numpy(code: str) -> bool:
-    """Run ``code`` in a fresh interpreter; whether numpy was loaded after it."""
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; the last line it printed."""
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return proc.stdout.splitlines()[-1]
+
+
+def loads_numpy(code: str) -> bool:
+    """Run ``code`` in a fresh interpreter; whether numpy was loaded after it."""
+    return run_fresh(code + "\nimport sys\nprint('numpy' in sys.modules)") == "True"
 
 
 @pytest.fixture()
@@ -98,14 +138,33 @@ class TestNumpyStaysUnloaded:
     def test_confounder_model_range(self):
         assert not loads_numpy("import epsident\nepsident.confounded_effect_range(0.5, 0.6, 0.01)")
 
-    # the controls: the guard above would pass vacuously if nothing loaded numpy
+    @pytest.mark.parametrize("code", [
+        "import epsident\nepsident.feasible_vertices",
+        "import epsident\nepsident.oracle",
+        "import epsident.oracle",
+        "from epsident import *",
+    ], ids=["feasible_vertices", "oracle", "import-oracle", "star-import"])
+    def test_naming_the_oracle(self, code):
+        # the oracle module is loaded, so the guard does not pass vacuously
+        assert not loads_numpy(code + "\nimport sys\nassert 'epsident.oracle' in sys.modules")
+
+    # the controls: the guards above would pass vacuously if nothing loaded numpy
 
     def test_verify_loads_numpy(self, running_path):
         assert loads_numpy(CLI_CALL.format(argv=["verify", running_path, "--trials", "0"]))
 
-    @pytest.mark.parametrize("name", ["feasible_vertices", "oracle"])
-    def test_oracle_names_load_numpy(self, name):
-        assert loads_numpy(f"import epsident\nepsident.{name}")
+    @pytest.mark.parametrize("call", [
+        "feasible_vertices(ep.ExperimentalDistribution(p_y_do_x=0.7, p_y_do_xp=0.3))",
+        "sample_joint(0)",
+    ], ids=["feasible_vertices", "sample_joint"])
+    def test_oracle_calls_load_numpy(self, call):
+        assert loads_numpy(f"import epsident as ep\nep.{call}")
+
+
+def test_threaded_first_calls_match_a_single_thread():
+    single = run_fresh(FIRST_CALLS.format(threaded=False)).split()
+    assert len(single) == 4 and all(single)
+    assert run_fresh(FIRST_CALLS.format(threaded=True)).split() == single
 
 
 class TestPublicApi:

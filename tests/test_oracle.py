@@ -71,6 +71,17 @@ class TestResponseTypeJoint:
             with pytest.raises(Unsupported):
                 joint.effect(name)
 
+    def test_type_marginal_refuses_unknown_names(self):
+        joint = ResponseTypeJoint([[0.1, 0.2], [0.05, 0.15], [0.2, 0.1], [0.05, 0.15]])
+        assert [joint.type_marginal(name) for name in oracle.RESPONSE_TYPES] == pytest.approx(
+            [0.3, 0.2, 0.3, 0.2])
+        for name in ("nope", "compliers", "Complier", ""):
+            with pytest.raises(Unsupported) as info:
+                joint.type_marginal(name)
+            message = str(info.value)
+            assert repr(name) in message
+            assert all(kind in message for kind in oracle.RESPONSE_TYPES)
+
 
 class TestSampling:
     def test_deterministic(self):
