@@ -45,6 +45,7 @@ from .errors import (
     EpsidentError,
     Incompatible,
     Infeasible,
+    InvalidDistribution,
     MissingData,
     NoFeasibleC,
     ParseError,
@@ -207,17 +208,14 @@ def _confounder_inputs(data: InputData, args):
     u_max = args.u_max if args.u_max is not None else (conf.u_max if conf else None)
     if u_max is None:
         raise ParseError("confounder mode needs u_max (flag --u-max or input section)")
-    c: float | None
-    if args.c is not None:
-        if args.c == "auto":
-            c = None
-        else:
-            try:
-                c = float(args.c)
-            except ValueError as exc:
-                raise ParseError(f"--c must be a number or 'auto', got {args.c!r}") from exc
-    else:
-        c = conf.c if conf else None
+    c = conf.c if conf else None
+    if args.c == "auto":
+        c = None
+    elif args.c is not None:
+        try:
+            c = float(args.c)
+        except ValueError as exc:
+            raise ParseError(f"--c must be a number or 'auto', got {args.c!r}") from exc
     p_x, p_ygx = _confounder_margins(conf, data.observational)
     if p_x is None or p_ygx is None:
         raise ParseError("confounder mode needs P(x) and P(y|x), from the confounder section or a full treated column")
@@ -236,11 +234,11 @@ def cmd_epsident(args) -> dict:
             raise ParseError("--minimal does not apply to --confounder mode")
         inp = _confounder_inputs(data, args)
         general = _ident_dict(conf_mod.eps_identify_effect_confounded(inp, args.eps))
-        simple = {"status": "requires P(x) >= 0.5"}
-        if inp.p_x >= 0.5:
+        try:  # inp and eps are valid, so the route refuses only P(x) < 1/2
             simple = _ident_dict(conf_mod.eps_identify_effect_confounded_simple(
-                inp.p_y_given_x, inp.p_x, inp.u_max, args.eps
-            ))
+                inp.p_y_given_x, inp.p_x, inp.u_max, args.eps))
+        except InvalidDistribution:
+            simple = {"status": "requires P(x) >= 0.5"}
         report["confounded"] = {
             "inputs": {"p_y_given_x": inp.p_y_given_x, "p_x": inp.p_x, "u_max": inp.u_max,
                        "c": inp.c if inp.c is not None else "auto"},
@@ -429,21 +427,17 @@ def _eps_soundness(exp, obs, assume, oracle_range, effects: bool) -> tuple[int, 
                 result = engine_mod.eps_identify(name, exp, obs, eps, assume)
             except ZeroDenominator:
                 continue
-            fired += [(name, ident.condition.entry_id, ident) for ident in result.fired]
+            fired += [(name, ident) for ident in result.fired]
         if effects:
             scan = engine_mod.eps_identify_effects(eps, obs, assume)
-            fired += [
-                (variant, f"effect-{variant}", result)
-                for variant, result in scan.results.items()
-                if isinstance(result, EpsIdentification)
-            ]
-        for quantity, label, ident in fired:
+            fired += [(v, r) for v, r in scan.results.items() if isinstance(r, EpsIdentification)]
+        for quantity, ident in fired:
             interval = oracle_range(quantity)
             if interval is None:
                 continue
             checked += 1
             if not ident.certified.contains_interval(interval):
-                failures.append(f"{label}@eps={eps}")
+                failures.append(f"{ident.condition.entry_id}@eps={eps}")
     return checked, failures
 
 

@@ -10,7 +10,8 @@ so an upper bound on P(u) narrows P(y_x) to an interval of width
 
     (2 + 1/c + 1/P(x)) * P(u).
 
-Requiring that width to be at most 2*eps gives the firing condition
+Requiring that width to be at most 2*eps, by the firing rule of
+:func:`~epsident.distributions.firing_limit`, gives the condition
 
     P(u) <= 2cP(x) / (2cP(x) + P(x) + c) * eps,
 
@@ -23,9 +24,9 @@ derivative 2P(x)^2 / (2cP(x) + P(x) + c)^2 > 0) and pulls q closer to
 P(y|x), so automatic selection takes the largest admissible constant,
 c = P(x) - u_max for a bound P(u) <= u_max; when it does not fire, none does.
 
-A coarser route needs only P(x) >= 1/2: fixing c = 0.4 and bounding
-1/P(x) <= 2 gives the wider sandwich slopes 3 and 3.5, the condition
-P(u) <= (4/13) * eps, and the center q = P(y|x) + eps/13.
+A coarser route needs only P(x) >= 1/2, with no tolerance slack: fixing
+c = 0.4 and bounding 1/P(x) <= 2 gives the wider sandwich slopes 3 and 3.5,
+the condition P(u) <= (4/13) * eps, and the center q = P(y|x) + eps/13.
 
 The models of the graph (:class:`ConfoundedScm`, :func:`grid_scms`) and the
 exact range of P(y_x) over them (:func:`confounded_effect_range`), which the
@@ -40,8 +41,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .config import get_tolerance
-from .distributions import Condition, EpsIdentification, check_eps, check_unit
-from .engine import NotIdentified
+from .distributions import (
+    Condition,
+    EpsIdentification,
+    NotIdentified,
+    certify,
+    check_eps,
+    check_unit,
+)
 from .errors import InvalidDistribution, NoFeasibleC
 from .interval import Interval
 
@@ -88,25 +95,6 @@ def _check_slack(p_x: float, u: float, u_name: str, c: float | None) -> None:
         )
 
 
-def _threshold_factor(c: float, p_x: float) -> float:
-    return 2.0 * c * p_x / (2.0 * c * p_x + p_x + c)
-
-
-def _center_offset(c: float, p_x: float) -> float:
-    return (p_x - c) / (2.0 * c * p_x + p_x + c)
-
-
-def _condition(inp: ConfoundedEffectInput, c: float, eps: float) -> Condition:
-    return Condition(
-        entry_id="effect-confounded",
-        premise=f"P(u) <= 2cP(x)/(2cP(x)+P(x)+c) * eps  [c={c:g}]",
-        premise_value=inp.u_max,
-        threshold="2cP(x)/(2cP(x)+P(x)+c) * eps",
-        threshold_value=_threshold_factor(c, inp.p_x) * eps,
-        center="P(y|x) + (P(x)-c)/(2cP(x)+P(x)+c) * eps",
-    )
-
-
 def eps_identify_effect_confounded(
     inp: ConfoundedEffectInput,
     eps: float,
@@ -119,21 +107,28 @@ def eps_identify_effect_confounded(
     :class:`NoFeasibleC` is raised when it is not positive or does not fire.
     """
     check_eps(eps)
-    tol = get_tolerance()
     c = inp.c
     if c is None:
         c = inp.p_x - inp.u_max
         if c <= 0.0:
             raise NoFeasibleC(f"p_x - u_max = {c:.6g} leaves no positive slack constant")
-    condition = _condition(inp, c, eps)
-    if inp.u_max > condition.threshold_value + tol:
-        if inp.c is None:
-            raise NoFeasibleC(
-                f"even the largest slack constant c = p_x - u_max = {c:.6g} does not fire at eps={eps:g}"
-            )
-        return NotIdentified(EFFECT_CONFOUNDED, condition)
-    q = inp.p_y_given_x + _center_offset(c, inp.p_x) * eps
-    return EpsIdentification(EFFECT_CONFOUNDED, q, eps, condition)
+    den = 2.0 * c * inp.p_x + inp.p_x + c
+    slope = 2.0 * c * inp.p_x / den
+    condition = Condition(
+        entry_id="effect-confounded",
+        premise=f"P(u) <= 2cP(x)/(2cP(x)+P(x)+c) * eps  [c={c:g}]",
+        premise_value=inp.u_max,
+        threshold="2cP(x)/(2cP(x)+P(x)+c) * eps",
+        threshold_value=slope * eps,
+        center="P(y|x) + (P(x)-c)/(2cP(x)+P(x)+c) * eps",
+    )
+    q = inp.p_y_given_x + (inp.p_x - c) / den * eps
+    result = certify(EFFECT_CONFOUNDED, q, eps, condition, slope)
+    if inp.c is None and isinstance(result, NotIdentified):
+        raise NoFeasibleC(
+            f"even the largest slack constant c = p_x - u_max = {c:.6g} does not fire at eps={eps:g}"
+        )
+    return result
 
 
 def eps_identify_effect_confounded_simple(
@@ -142,12 +137,12 @@ def eps_identify_effect_confounded_simple(
     u_max: float,
     eps: float,
 ) -> EpsIdentification | NotIdentified:
-    """The coarse route: requires P(x) >= 1/2, fires when P(u) <= (4/13)*eps,
-    and identifies P(y_x) to P(y|x) + eps/13."""
+    """The coarse route: requires P(x) >= 1/2 exactly, as its proof needs
+    1/P(x) <= 2, fires when P(u) <= (4/13)*eps, and identifies P(y_x) to
+    P(y|x) + eps/13."""
     check_eps(eps)
     check_unit(p_y_given_x=p_y_given_x, p_x=p_x, u_max=u_max)
-    tol = get_tolerance()
-    if p_x < 0.5 - tol:
+    if p_x < 0.5:
         raise InvalidDistribution(f"the simple route requires P(x) >= 0.5, got {p_x!r}")
     condition = Condition(
         entry_id="effect-confounded-simple",
@@ -157,9 +152,7 @@ def eps_identify_effect_confounded_simple(
         threshold_value=4.0 / 13.0 * eps,
         center="P(y|x) + eps/13",
     )
-    if u_max > condition.threshold_value + tol:
-        return NotIdentified(EFFECT_CONFOUNDED, condition)
-    return EpsIdentification(EFFECT_CONFOUNDED, p_y_given_x + eps / 13.0, eps, condition)
+    return certify(EFFECT_CONFOUNDED, p_y_given_x + eps / 13.0, eps, condition, 4.0 / 13.0)
 
 
 def effect_sandwich(p_y_given_x: float, p_x: float, p_u: float, c: float) -> Interval:
@@ -257,8 +250,7 @@ def confounded_effect_range(
     between the extremes is reached as well.
     """
     check_unit(p_x=p_x, p_y_given_x=p_y_given_x, u_max=u_max)
-    if p_x <= get_tolerance():
-        raise InvalidDistribution("p_x must be positive for P(y|x) to be defined")
+    _check_slack(p_x, u_max, "u_max", None)
     X, Y = p_x, p_y_given_x
     xy, xyp = X * Y, X * (1.0 - Y)
     breaks = (1.0 - X, X, xy, xyp, 1.0 - X + xy, 1.0 - X + xyp)

@@ -40,6 +40,7 @@ __all__ = [
     "InputData",
     "Condition",
     "EpsIdentification",
+    "NotIdentified",
     "from_counts",
     "check_compatibility",
     "CompatibilityReport",
@@ -380,6 +381,32 @@ class EpsIdentification:
             "condition": self.condition.to_json_dict(),
             "certified": [self.certified.lo, self.certified.hi],
         }
+
+
+@dataclass(frozen=True, slots=True)
+class NotIdentified:
+    """A condition that was evaluated and did not fire, with its margin."""
+
+    quantity: str
+    condition: Condition
+
+    @property
+    def margin(self) -> float:
+        return self.condition.premise_value - self.condition.threshold_value
+
+
+def firing_limit(slope: float, eps: float) -> float:
+    """The largest premise value that fires a condition with threshold
+    ``slope * eps``: the threshold at eps + tol/4, where the premise proves an
+    interval 2*eps + tol/2 wide, so a certificate misses by at most tol/2."""
+    return slope * (eps + get_tolerance() / 4.0)
+
+
+def certify(quantity, q, eps, condition: Condition, slope) -> EpsIdentification | NotIdentified:
+    """``q`` +- ``eps`` if ``condition`` fires by :func:`firing_limit`, else its refusal."""
+    if condition.premise_value > firing_limit(slope, eps):
+        return NotIdentified(quantity, condition)
+    return EpsIdentification(quantity, q, eps, condition)
 
 
 def from_counts(counts: StudyCounts) -> ExperimentalDistribution | ObservationalDistribution:

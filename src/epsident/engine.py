@@ -3,9 +3,9 @@
 Scans the generated condition catalogs against whatever data are available.
 A condition fires when its premise is certified, i.e. when the premise's
 largest possible value given the supplied atoms and asserted marginal bounds
-is at most the threshold.  A fired condition reports a center q whose value
-must be exactly computable; the certificate is that the target lies in
-[q - eps, q + eps] for every model consistent with the data.
+is within the firing limit of the threshold.  A fired condition reports a
+center q whose value must be exactly computable; the certificate is that the
+target lies in [q - eps, q + eps] for every model consistent with the data.
 
 Partial data shrink the evaluated set: entries whose premise involves a
 quantity carrying no information at all, or whose center is not exactly
@@ -14,11 +14,11 @@ computable, are reported as not evaluated rather than silently dropped.
 Only the threshold depends on eps.  A scan is therefore split in two: a
 profile, built once per target, dataset and tolerance, holds the ranges, the
 refusals, each evaluated entry's premise value and center, and the
-not-evaluated records; its ``at(eps)`` compares the premise values with
-``2*eps*den`` and builds the report, whose tightest entry is the first that
-fires.  Profiles and ranges sit in small bounded caches keyed by the
-(frozen, hashable) records and the tolerance, so a sweep over radii pays for
-one scan; a refusal is raised, never cached.
+not-evaluated records; its ``at(eps)`` compares the premise values with the
+firing limit of ``2*eps*den`` and builds the report, whose tightest entry is
+the first that fires.  Profiles and ranges sit in small bounded caches keyed
+by the (frozen, hashable) records and the tolerance, so a sweep over radii
+pays for one scan; a refusal is raised, never cached.
 Which entries a dataset evaluates, and the records of those it cannot,
 depend only on its pattern of informative and exact quantities: a plan per
 target and pattern holds them, so each profile only does its arithmetic.
@@ -38,9 +38,12 @@ from .distributions import (
     Condition,
     EpsIdentification,
     ExperimentalDistribution,
+    NotIdentified,
     ObservationalDistribution,
+    certify,
     check_eps,
     check_unit,
+    firing_limit,
     present_atoms,
 )
 from .errors import Incompatible, InvalidDistribution
@@ -170,18 +173,6 @@ class QuantityRanges:
 
 
 @dataclass(frozen=True, slots=True)
-class NotIdentified:
-    """A condition that was evaluated and did not fire, with its margin."""
-
-    quantity: str
-    condition: Condition
-
-    @property
-    def margin(self) -> float:
-        return self.condition.premise_value - self.condition.threshold_value
-
-
-@dataclass(frozen=True, slots=True)
 class NotEvaluated:
     """A condition skipped because data atoms are missing."""
 
@@ -239,16 +230,14 @@ class _Profile:
     """The eps-free part of one catalog scan: each evaluated entry's premise
     value and center, and every not-evaluated record."""
 
-    def __init__(self, quantity, den, tol, evaluated, skipped) -> None:
-        self.quantity, self.den, self.tol = quantity, den, tol
-        self.evaluated = evaluated
-        self.skipped = skipped
+    def __init__(self, quantity, den, evaluated, skipped) -> None:
+        self.quantity, self.den, self.evaluated, self.skipped = quantity, den, evaluated, skipped
 
     def at(self, eps: float) -> EpsReport:
         """The scan's report at radius ``eps``: an entry fires when its premise
-        value is at most ``2*eps*den`` plus the tolerance."""
+        value is at most the firing limit of the threshold ``2*eps*den``."""
         threshold = 2.0 * eps * self.den
-        limit = threshold + self.tol
+        limit = firing_limit(2.0 * self.den, eps)
         fired: list[EpsIdentification] = []
         for premise_value, center, sign, entry_id, premise, threshold_label, center_label \
                 in self.evaluated:
@@ -321,7 +310,7 @@ def _profile(quantity: str, exp, obs, assumptions, tol: float) -> _Profile:
         (ranges.upper_value(premise), ranges.exact_value(center) / den, *rest)
         for premise, center, rest in plan
     )
-    return _Profile(quantity, den, tol, evaluated, skipped)
+    return _Profile(quantity, den, evaluated, skipped)
 
 
 def eps_identify(
@@ -387,7 +376,7 @@ def eps_identify_effect(
 
     The effect P(o_t) lies in [P(t,o), P(t,o) + P(t-complement)], an interval
     of width exactly the opposite marginal.  So an upper bound ub on that
-    marginal with ub <= 2*eps certifies  P(o_t) ~ P(t,o) + eps.
+    marginal with ub <= 2*eps (by the firing rule) certifies  P(o_t) ~ P(t,o) + eps.
     """
     if variant not in EFFECTS:
         raise InvalidDistribution(f"unknown effect variant {variant!r}")
@@ -402,9 +391,7 @@ def eps_identify_effect(
         threshold_value=2.0 * eps,
         center=f"{QUANTITY_LABELS[cell]} + eps",
     )
-    if other_marginal_ub > 2.0 * eps + get_tolerance():
-        return NotIdentified(variant, condition)
-    return EpsIdentification(variant, p_txy + eps, eps, condition)
+    return certify(variant, p_txy + eps, eps, condition, 2.0)
 
 
 @dataclass(frozen=True, slots=True)

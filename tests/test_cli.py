@@ -293,8 +293,8 @@ class TestEpsident:
             assert line in capsys.readouterr().out.splitlines()
 
     def test_loose_env_tolerance_still_reports(self, write, monkeypatch, capsys):
-        # sample_joint(7): under tol 0.05 pn entries fire whose intervals
-        # miss the tight bounds; the scan reports them rather than failing
+        # sample_joint(7): under tol 0.05 pns and pn entries fire at eps 0.1
+        # by the firing limit's slack; the scan reports them rather than failing
         data = {
             "experimental": {"p_y_do_x": 0.33276570045152665, "p_y_do_xp": 0.4458502169257787},
             "observational": {"p_xy": 0.1328482479126492, "p_xyp": 0.022516859215322253,
@@ -302,7 +302,7 @@ class TestEpsident:
         }
         path = write("in.json", data)
         monkeypatch.setenv("EPSIDENT_TOLERANCE", "0.05")
-        assert main(["epsident", path, "--eps", "0.05"]) == 0
+        assert main(["epsident", path, "--eps", "0.1"]) == 0
         captured = capsys.readouterr()
         assert "(tightest)" in captured.out
         assert captured.err == ""
@@ -455,6 +455,29 @@ class TestVerify:
         report = parse_json(capsys.readouterr().out)
         names = {c["name"] for c in report["checks"]}
         assert "confounder-sandwich" in names
+
+    def test_loose_env_tolerance_verifies_running(self, write):
+        # under tol 0.05 a fired certificate misses the oracle range by at
+        # most tol/2, inside the tol that the soundness checks allow
+        path = write("running.json", RUNNING)
+        result = subprocess.run(
+            [sys.executable, "-m", "epsident.cli", "verify", path, "--trials", "20"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "EPSIDENT_TOLERANCE": "0.05"},
+        )
+        assert (result.returncode, result.stderr) == (0, ""), result.stdout
+
+    def test_tiny_treated_share_is_accepted_by_both_commands(self, write, capsys):
+        # P(x) = 1e-10 is positive: the certificate and the model range that
+        # verify checks it against both accept it
+        path = write("tiny.json", {"confounder": {"u_max": 0.0, "p_x": 1e-10, "p_y_given_x": 0.5}})
+        assert main(["epsident", path, "--eps", "0.05", "--confounder", "--json"]) == 0
+        section = parse_json(capsys.readouterr().out)["confounded"]
+        assert section["general"]["q"] == 0.5
+        assert section["simple"] == {"status": "requires P(x) >= 0.5"}
+        assert main(["verify", path, "--trials", "0", "--json"]) == 0
+        by_name = {c["name"]: c for c in parse_json(capsys.readouterr().out)["checks"]}
+        assert by_name["confounder-sandwich"]["details"].startswith("model range [0.5, 0.5]")
 
     def test_confounder_without_slack_is_skipped(self, write, capsys):
         # u_max = 0.2 >= P(x) = 0.15 leaves no slack constant c > 0

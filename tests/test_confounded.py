@@ -16,7 +16,7 @@ from epsident import (
     eps_identify_effect_confounded,
     eps_identify_effect_confounded_simple,
 )
-from epsident.config import get_tolerance
+from epsident.config import get_tolerance, set_tolerance
 from epsident.oracle import ConfoundedScm, grid_scms
 
 
@@ -175,6 +175,66 @@ class TestSimpleRoute:
     def test_requires_majority_treated(self):
         with pytest.raises(InvalidDistribution):
             eps_identify_effect_confounded_simple(0.62, 0.4, 0.01, eps=0.035)
+
+    def test_refuses_just_below_half_treated(self):
+        # the proof needs 1/P(x) <= 2, so no tolerance slack below 1/2
+        with pytest.raises(InvalidDistribution, match=r"requires P\(x\) >= 0.5"):
+            eps_identify_effect_confounded_simple(0.62, 0.5 - 1e-10, 0.01, eps=0.035)
+        ident = eps_identify_effect_confounded_simple(0.62, 0.5, 0.01, eps=0.035)
+        assert isinstance(ident, EpsIdentification)
+
+
+class TestFiringRule:
+    @pytest.mark.parametrize("tol", [1e-3, 0.01, 0.05])
+    def test_fired_certificates_miss_the_exact_range_by_at_most_half_tol(self, tol):
+        # explicit c, automatic c and the coarse route, with P(u) bounds up
+        # to and past the firing limit: every certificate fired under
+        # tolerance tol holds the exact model range, and the sandwich its
+        # proof rests on, within tol/2
+        rng = np.random.default_rng(23)
+        n_fired = 0
+        before = get_tolerance()
+        try:
+            set_tolerance(tol)
+            for _ in range(3000):
+                p_x = rng.uniform(0.02, 1.0)
+                p_ygx = rng.choice([0.0, 1.0, rng.uniform()])
+                eps = rng.uniform(0.005, 0.3)
+                # no threshold factor exceeds 1/2
+                u_max = rng.uniform(0.0, min(p_x, eps / 2 + tol))
+                results = []  # (the route's sandwich, its result)
+                if p_x - u_max > 0.0:
+                    for c in (rng.uniform(0.01, 1.0) * (p_x - u_max), None):
+                        inp = ConfoundedEffectInput(p_ygx, p_x, u_max, c)
+                        sandwich = effect_sandwich(p_ygx, p_x, u_max, c or p_x - u_max)
+                        try:
+                            results.append((sandwich, eps_identify_effect_confounded(inp, eps)))
+                        except NoFeasibleC:
+                            pass
+                if p_x >= 0.5:
+                    results.append((Interval(p_ygx - 3.0 * u_max, p_ygx + 3.5 * u_max),
+                                    eps_identify_effect_confounded_simple(p_ygx, p_x, u_max, eps)))
+                exact = confounded_effect_range(p_x, p_ygx, u_max)
+                for sandwich, result in results:
+                    if isinstance(result, EpsIdentification):
+                        n_fired += 1
+                        for proved in (exact, sandwich):
+                            assert result.certified.contains_interval(proved, tol / 2 + 1e-12), (
+                                p_x, p_ygx, u_max, eps, result.condition.entry_id, proved)
+        finally:
+            set_tolerance(before)
+        assert n_fired > 1000
+
+    def test_small_slack_constant_does_not_fire_on_the_tolerance(self):
+        # the threshold is 0.00093 against P(u) <= 0.05: a full-tolerance slack
+        # fired it and certified [0.494, 0.594] against the exact [0.367, 0.633]
+        before = get_tolerance()
+        try:
+            set_tolerance(0.05)
+            inp = ConfoundedEffectInput(p_y_given_x=0.5, p_x=0.2, u_max=0.05, c=0.01)
+            assert isinstance(eps_identify_effect_confounded(inp, 0.05), NotIdentified)
+        finally:
+            set_tolerance(before)
 
 
 class TestSandwich:

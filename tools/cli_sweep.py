@@ -13,7 +13,8 @@ and hashes of stdout and stderr.  Diffing the output of two trees checks
 that a refactor leaves the command line byte-identical.
 
 A second pass runs the ``epsident --eps 0.05`` and ``verify --trials 2``
-calls once more with ``EPSIDENT_TOLERANCE=0.05``, a loose user-set
+calls, and ``epsident --eps 0.05 --confounder`` on inputs with a confounder
+section, once more with ``EPSIDENT_TOLERANCE=0.05``, a loose user-set
 tolerance; their lines start with that setting.  The CLI applies the
 environment's tolerance process-wide, so the default is restored after each
 of these calls.
@@ -61,6 +62,14 @@ LOOSE_SHAPES = (
     ["epsident", "--eps", "0.05"],
     ["verify", "--trials", "2"],
 )
+LOOSE_CONFOUNDER_SHAPES = (
+    ["epsident", "--eps", "0.05", "--confounder"],
+)
+# (environment tolerance, shapes, extra shapes for confounder inputs) per pass
+PASSES = (
+    (None, SHAPES, CONFOUNDER_SHAPES),
+    (LOOSE_TOLERANCE, LOOSE_SHAPES, LOOSE_CONFOUNDER_SHAPES),
+)
 
 
 def _load(name: str, path: Path):
@@ -95,9 +104,9 @@ def calls() -> list[tuple[str | None, list[str], str, str]]:
     """(environment tolerance, argv, file name, file text) of every call, text
     and --json: the default-tolerance pass, then the loose-tolerance pass."""
     out, data = [], inputs()
-    for tolerance, shapes in ((None, None), (LOOSE_TOLERANCE, LOOSE_SHAPES)):
+    for tolerance, shapes, confounder_shapes in PASSES:
         for name, text, kind, payoffs, confounded in data:
-            for shape in shapes or SHAPES + (CONFOUNDER_SHAPES if confounded else ()):
+            for shape in shapes + (confounder_shapes if confounded else ()):
                 argv = [shape[0], name, *kind]
                 for a in shape[1:]:
                     argv += payoffs if a == "{payoffs}" else [a]
