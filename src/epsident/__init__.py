@@ -78,7 +78,6 @@ from .errors import (
     InvalidDistribution,
     MissingData,
     MonotonicityRefuted,
-    NoFeasibleC,
     ParseError,
     Unsupported,
     ZeroArm,

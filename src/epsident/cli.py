@@ -14,8 +14,8 @@ or else through the command's text renderer.
 
 Inputs are either the JSON schema (see :func:`epsident.parse_input_json`)
 or an ``arm,outcome,count`` CSV (with ``--kind``).  Exit codes: 0 success,
-2 parse/input error, 3 incompatible data without --force, 4 no feasible
-slack constant, 5 verification failure.
+2 parse/input error, 3 incompatible data without --force, 5 verification
+failure.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .errors import (
     Infeasible,
     InvalidDistribution,
     MissingData,
-    NoFeasibleC,
     ParseError,
     Unsupported,
     ZeroDenominator,
@@ -59,7 +58,6 @@ from .unitselect import BenefitVector, eps_identify_benefit
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INCOMPATIBLE = 3
-EXIT_NO_FEASIBLE_C = 4
 EXIT_VERIFY_FAILED = 5
 
 DEFAULT_SEED = 20250809
@@ -529,15 +527,17 @@ def cmd_verify(args) -> dict:
         f"{n} defier-free joints match the closed monotone formulas within 1e-9" if not mono_fail
         else f"{mono_fail} of {n} defier-free joints miss the closed monotone formulas by more than 1e-9")
 
-    p_x, p_ygx = _confounder_margins(data.confounder, obs)
-    if data.confounder is not None and p_x is not None and p_ygx is not None:
+    if data.confounder is not None:
+        p_x, p_ygx = _confounder_margins(data.confounder, obs)
         u_max = data.confounder.u_max
-        c_top = p_x - u_max
-        if c_top <= 0.0:
+        if p_x is None or p_ygx is None:
+            add("confounder-sandwich", True,
+                "skipped: no P(x) and P(y|x) in the confounder section or a full treated column")
+        elif p_x <= u_max:
             add("confounder-sandwich", True, "skipped: u_max >= P(x) leaves no slack constant")
         else:
             model_range = conf_mod.confounded_effect_range(p_x, p_ygx, u_max)
-            c_values = [c_top * k / 8 for k in range(1, 9)]
+            c_values = [(p_x - u_max) * k / 8 for k in range(1, 9)]
             bad = [
                 f"c={c:.4g}"
                 for c in c_values
@@ -639,8 +639,6 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.violations:
             print(f"incompatible: {v}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    except NoFeasibleC as exc:
-        return _fail(str(exc), EXIT_NO_FEASIBLE_C)
     except EpsidentError as exc:  # ParseError, InvalidDistribution, MissingData, ...
         return _fail(str(exc), EXIT_PARSE)
     sys.stdout.write(out)

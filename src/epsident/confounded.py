@@ -22,7 +22,8 @@ under which P(y_x) is identified to
 with radius eps.  Larger c both fires more easily (the threshold factor has
 derivative 2P(x)^2 / (2cP(x) + P(x) + c)^2 > 0) and pulls q closer to
 P(y|x), so automatic selection takes the largest admissible constant,
-c = P(x) - u_max for a bound P(u) <= u_max; when it does not fire, none does.
+c = P(x) - u_max for a bound P(u) <= u_max, and reports its margin as an
+explicit c does; when it does not fire, none does.
 
 A coarser route needs only P(x) >= 1/2, with no tolerance slack: fixing
 c = 0.4 and bounding 1/P(x) <= 2 gives the wider sandwich slopes 3 and 3.5,
@@ -49,7 +50,7 @@ from .distributions import (
     check_eps,
     check_unit,
 )
-from .errors import InvalidDistribution, NoFeasibleC
+from .errors import InvalidDistribution
 from .interval import Interval
 
 __all__ = [
@@ -70,7 +71,7 @@ class ConfoundedEffectInput:
     """Inputs for the confounded-effect identification.
 
     ``c`` is an explicit slack constant (0 < c <= p_x - u_max) or None for
-    the largest one, c = p_x - u_max.
+    the largest one, c = max(p_x - u_max, 0).
     """
 
     p_y_given_x: float
@@ -101,17 +102,13 @@ def eps_identify_effect_confounded(
 ) -> EpsIdentification | NotIdentified:
     """Identify P(y_x) from P(x), P(y|x), and a confounder-mass bound.
 
-    With an explicit slack constant the condition is checked as stated and a
-    failing margin is reported.  With ``c=None`` the constant is the largest
-    admissible one, c = p_x - u_max, which fires whenever any constant does;
-    :class:`NoFeasibleC` is raised when it is not positive or does not fire.
+    The condition is checked at the slack constant as stated, and a failing
+    one reports its margin.  With ``c=None`` the constant is the largest
+    admissible one, c = max(p_x - u_max, 0), which fires whenever any
+    constant does; at c = 0 the threshold is 0, so the margin is u_max.
     """
     check_eps(eps)
-    c = inp.c
-    if c is None:
-        c = inp.p_x - inp.u_max
-        if c <= 0.0:
-            raise NoFeasibleC(f"p_x - u_max = {c:.6g} leaves no positive slack constant")
+    c = max(inp.p_x - inp.u_max, 0.0) if inp.c is None else inp.c
     den = 2.0 * c * inp.p_x + inp.p_x + c
     slope = 2.0 * c * inp.p_x / den
     condition = Condition(
@@ -123,12 +120,7 @@ def eps_identify_effect_confounded(
         center="P(y|x) + (P(x)-c)/(2cP(x)+P(x)+c) * eps",
     )
     q = inp.p_y_given_x + (inp.p_x - c) / den * eps
-    result = certify(EFFECT_CONFOUNDED, q, eps, condition, slope)
-    if inp.c is None and isinstance(result, NotIdentified):
-        raise NoFeasibleC(
-            f"even the largest slack constant c = p_x - u_max = {c:.6g} does not fire at eps={eps:g}"
-        )
-    return result
+    return certify(EFFECT_CONFOUNDED, q, eps, condition, slope)
 
 
 def eps_identify_effect_confounded_simple(
@@ -197,7 +189,7 @@ class ConfoundedScm:
     @property
     def p_y_given_x(self) -> float | None:
         px = self.p_x
-        if px <= get_tolerance():
+        if px <= 0.0:
             return None
         return self.p_xy / px
 

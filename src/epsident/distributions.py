@@ -219,7 +219,7 @@ class ObservationalDistribution:
     @property
     def p_y_given_x(self) -> float | None:
         px = self.p_x
-        if px is None or self.p_xy is None or px <= get_tolerance():
+        if px is None or self.p_xy is None or px <= 0.0:
             return None
         return self.p_xy / px
 

@@ -60,10 +60,6 @@ class EmptyStratum(EpsidentError):
     """A conditional probability is undefined on a required stratum."""
 
 
-class NoFeasibleC(EpsidentError):
-    """No admissible slack constant satisfies the firing condition."""
-
-
 class Infeasible(EpsidentError):
     """No response-type joint distribution matches the supplied data."""
 

@@ -9,9 +9,13 @@ as printed; the frozen rows carry the pairing-consistent forms, which the
 oracle containment suite validates.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from epsident import oracle
 from epsident.catalog import CATALOGS, PN_CATALOG, PNS_CATALOG, PS_CATALOG, TARGETS
+from epsident.forms import ONE_MINUS, QUANTITY_ATOMS
 
 # (center, premise) rows in the published order
 PNS_TABLE = [
@@ -119,3 +123,56 @@ def test_entry_ids_unique_and_ordered():
     for name, cat in CATALOGS.items():
         ids = [e.entry_id for e in cat]
         assert ids == [f"{name}-{k:02d}" for k in range(1, len(cat) + 1)]
+
+
+# the oracle's 8 cells, (response type, arm of X) row-major
+CELLS = [(t, arm) for t in oracle.RESPONSE_TYPES for arm in ("x", "x'")]
+# the subpopulation whose mass is each argument's gap to its target (to the
+# numerator for pn and ps): the argument is exact when it is empty
+GAP_CELLS = {
+    ("pns", "L1"): {("complier", "x"), ("complier", "x'")},
+    ("pns", "L2"): {("defier", "x"), ("defier", "x'")},
+    ("pns", "L3"): {("complier", "x'"), ("defier", "x")},
+    ("pns", "L4"): {("complier", "x"), ("defier", "x'")},
+    ("pns", "U1"): {("always_taker", "x"), ("always_taker", "x'")},
+    ("pns", "U2"): {("never_taker", "x"), ("never_taker", "x'")},
+    ("pns", "U3"): {("always_taker", "x"), ("never_taker", "x'")},
+    ("pns", "U4"): {("always_taker", "x'"), ("never_taker", "x")},
+    ("pn", "N1"): {("complier", "x")},
+    ("pn", "N2"): {("defier", "x")},
+    ("pn", "M1"): {("always_taker", "x")},
+    ("pn", "M2"): {("never_taker", "x")},
+    ("ps", "S1"): {("complier", "x'")},
+    ("ps", "S2"): {("defier", "x'")},
+    ("ps", "T1"): {("never_taker", "x'")},
+    ("ps", "T2"): {("always_taker", "x'")},
+}
+
+
+def _cell_coefficients(expr) -> list[Fraction]:
+    """A grouped expression's exact coefficient on each cell; the constant 1
+    of a complement P(y'_t) is the sum of all cells."""
+    rows = {atom: [Fraction(v) for v in row] for atom, row in oracle._ROWS.items()}
+    out = [Fraction(0)] * len(CELLS)
+    for coef, name in expr.terms:
+        row = [sum(rows[atom][k] for atom in QUANTITY_ATOMS[name]) for k in range(len(CELLS))]
+        if name in ONE_MINUS:
+            row = [1 - v for v in row]
+        out = [o + Fraction(coef) * v for o, v in zip(out, row)]
+    return out
+
+
+def test_every_argument_misses_its_target_by_one_named_subpopulation():
+    # a data-independent identity: target - lower (or upper - target) is the
+    # 0/1 mass of the argument's gap cells, so every argument is sound
+    checked = set()
+    for name, t in TARGETS.items():
+        target = [Fraction(v) for v in oracle._OBJECTIVES[name]]
+        for arg in t.lower + t.upper:
+            value = _cell_coefficients(arg.expr)
+            low, high = (value, target) if arg.side == "lower" else (target, value)
+            gap = [h - l for l, h in zip(low, high)]
+            expected = [int(cell in GAP_CELLS[name, arg.name]) for cell in CELLS]
+            assert gap == expected, (name, arg.name, gap)
+            checked.add((name, arg.name))
+    assert checked == set(GAP_CELLS)

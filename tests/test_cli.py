@@ -49,6 +49,11 @@ ZERO_PXY = {
 }
 # a confounder section and no data atom
 CONFOUNDER_ONLY = {"confounder": {"u_max": 0.01, "p_x": 0.84, "p_y_given_x": 0.62, "c": 0.8}}
+# P(x) = 0.04 and P(y|x) = 0.5 from the joint, and the automatic slack constant
+CONFOUNDER_FROM_JOINT = {
+    "observational": {"p_xy": 0.02, "p_xyp": 0.02, "p_xpy": 0.46, "p_xpyp": 0.5},
+    "confounder": {"u_max": 0.001},
+}
 
 TABLE1_CSV = (
     "arm,outcome,count\n"
@@ -252,9 +257,32 @@ class TestEpsident:
         assert simple["identified"] is True
         assert simple["q"] == pytest.approx(0.62 + 0.035 / 13)
 
-    def test_no_feasible_c_exits_4(self, write):
-        path = write("conf.json", {"confounder": {"p_x": 0.3, "p_y_given_x": 0.5, "u_max": 0.29}})
-        assert main(["epsident", path, "--eps", "0.001", "--confounder"]) == 4
+    def test_auto_c_that_does_not_fire_reports_its_margin(self, write, capsys):
+        # the largest slack constant c = P(x) - u_max = 0.48 fails, and the
+        # report keeps its margin and the pns scan, as an explicit c does
+        path = write("running.json", {**RUNNING, "confounder": {"u_max": 0.02}})
+        assert main(["epsident", path, "--eps", "0.05", "--confounder", "--quantity", "pns"]) == 0
+        out = capsys.readouterr().out
+        assert "[c=0.48] fails by 0.00356164]" in out
+        assert out.endswith("\nPNS: 0 condition(s) fired, 0 not evaluated\n")
+        path = write("conf.json", {"confounder": {"p_x": 0.3, "p_y_given_x": 0.5, "u_max": 0.3}})
+        assert main(["epsident", path, "--eps", "0.001", "--confounder", "--json"]) == 0
+        general = parse_json(capsys.readouterr().out)["confounded"]["general"]
+        assert (general["identified"], general["margin"]) == (False, 0.3)
+        assert "[c=0]" in general["condition"]["premise"]
+
+    def test_loose_tolerance_takes_margins_from_a_small_treated_share(self, write, monkeypatch,
+                                                                      capsys):
+        # P(x) = 0.04 is below the tolerance 0.05 but positive: P(y|x) is
+        # defined, as it is when the section gives the same margins
+        monkeypatch.setenv("EPSIDENT_TOLERANCE", "0.05")
+        for data in (CONFOUNDER_FROM_JOINT,
+                     {"confounder": {"u_max": 0.001, "p_x": 0.04, "p_y_given_x": 0.5}}):
+            path = write("small.json", data)
+            assert main(["epsident", path, "--eps", "0.05", "--confounder"]) == 0
+            out = capsys.readouterr().out
+            assert "identified to q = 0.500609 within eps = 0.05" in out
+            assert "[c=0.039]" in out
 
     def test_auto_slack_constant(self, write, capsys):
         payload = dict(MEDICINE)
@@ -478,6 +506,19 @@ class TestVerify:
         assert main(["verify", path, "--trials", "0", "--json"]) == 0
         by_name = {c["name"]: c for c in parse_json(capsys.readouterr().out)["checks"]}
         assert by_name["confounder-sandwich"]["details"].startswith("model range [0.5, 0.5]")
+
+    def test_confounder_without_margins_is_skipped(self, write, capsys):
+        # no P(x) in the section and no joint: epsident --confounder refuses
+        # the file, and verify says why it leaves the check out
+        path = write("bare.json", {"experimental": RUNNING["experimental"],
+                                   "confounder": {"u_max": 0.01}})
+        assert main(["epsident", path, "--eps", "0.05", "--confounder"]) == 2
+        capsys.readouterr()
+        assert main(["verify", path, "--trials", "0", "--json"]) == 0
+        by_name = {c["name"]: c for c in parse_json(capsys.readouterr().out)["checks"]}
+        assert by_name["confounder-sandwich"] == {
+            "name": "confounder-sandwich", "passed": True,
+            "details": "skipped: no P(x) and P(y|x) in the confounder section or a full treated column"}
 
     def test_confounder_without_slack_is_skipped(self, write, capsys):
         # u_max = 0.2 >= P(x) = 0.15 leaves no slack constant c > 0

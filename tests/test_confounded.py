@@ -9,7 +9,6 @@ from epsident import (
     Infeasible,
     Interval,
     InvalidDistribution,
-    NoFeasibleC,
     NotIdentified,
     confounded_effect_range,
     effect_sandwich,
@@ -124,8 +123,9 @@ class TestGeneralRoute:
             ConfoundedEffectInput(0.62, 0.84, 0.01, c=0.83), eps=0.025
         )
         assert ident.q == pytest.approx(explicit.q)
+        # fired or not, auto is the explicit top constant, margin included
         rng = np.random.default_rng(11)
-        n_fired = 0
+        n_fired = n_failed = 0
         for _ in range(300):
             p_x, u_max = rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.05)
             p_ygx, eps = rng.uniform(), rng.choice([0.01, 0.05, 0.1, 0.3])
@@ -134,19 +134,31 @@ class TestGeneralRoute:
             explicit = eps_identify_effect_confounded(
                 ConfoundedEffectInput(p_ygx, p_x, u_max, c=p_x - u_max), eps
             )
-            try:
-                auto = eps_identify_effect_confounded(ConfoundedEffectInput(p_ygx, p_x, u_max), eps)
-            except NoFeasibleC:
-                assert isinstance(explicit, NotIdentified)
-                continue
-            n_fired += 1
+            auto = eps_identify_effect_confounded(ConfoundedEffectInput(p_ygx, p_x, u_max), eps)
             assert auto == explicit
-        assert n_fired > 50
+            if isinstance(auto, EpsIdentification):
+                n_fired += 1
+            else:
+                n_failed += 1
+        assert n_fired > 50 and n_failed > 10
 
-    def test_auto_raises_when_nothing_fires(self):
+    def test_auto_reports_margin_when_nothing_fires(self):
         inp = ConfoundedEffectInput(p_y_given_x=0.5, p_x=0.3, u_max=0.29, c=None)
-        with pytest.raises(NoFeasibleC):
-            eps_identify_effect_confounded(inp, eps=0.001)
+        result = eps_identify_effect_confounded(inp, eps=0.001)
+        assert isinstance(result, NotIdentified)
+        assert "c=0.01" in result.condition.premise
+        assert result == eps_identify_effect_confounded(
+            ConfoundedEffectInput(0.5, 0.3, 0.29, c=0.3 - 0.29), eps=0.001)
+
+    @pytest.mark.parametrize("u_max", [0.3, 0.45])
+    def test_auto_without_positive_constant_fails_by_u_max(self, u_max):
+        # u_max >= P(x) leaves c = 0: the threshold is 0 and the margin u_max
+        inp = ConfoundedEffectInput(p_y_given_x=0.5, p_x=0.3, u_max=u_max)
+        result = eps_identify_effect_confounded(inp, eps=0.2)
+        assert isinstance(result, NotIdentified)
+        assert "[c=0]" in result.condition.premise
+        assert result.condition.threshold_value == 0.0
+        assert result.margin == u_max
 
     def test_c_constraint_enforced(self):
         for p_x, c, message in (
@@ -207,10 +219,7 @@ class TestFiringRule:
                     for c in (rng.uniform(0.01, 1.0) * (p_x - u_max), None):
                         inp = ConfoundedEffectInput(p_ygx, p_x, u_max, c)
                         sandwich = effect_sandwich(p_ygx, p_x, u_max, c or p_x - u_max)
-                        try:
-                            results.append((sandwich, eps_identify_effect_confounded(inp, eps)))
-                        except NoFeasibleC:
-                            pass
+                        results.append((sandwich, eps_identify_effect_confounded(inp, eps)))
                 if p_x >= 0.5:
                     results.append((Interval(p_ygx - 3.0 * u_max, p_ygx + 3.5 * u_max),
                                     eps_identify_effect_confounded_simple(p_ygx, p_x, u_max, eps)))

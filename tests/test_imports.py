@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "EmptyStratum", "EpsIdentification", "EpsReport", "EpsidentError",
     "ExperimentalDistribution", "Incompatible", "Infeasible", "InputData", "Interval",
     "InvalidDistribution", "MissingData", "MonotoneIdentification", "MonotonicityRefuted",
-    "NoFeasibleC", "NotEvaluated", "NotIdentified", "ObservationalDistribution", "ParseError",
+    "NotEvaluated", "NotIdentified", "ObservationalDistribution", "ParseError",
     "QuantityRanges", "ResponseTypeJoint", "SampledScenario", "StudyCounts", "Unsupported",
     "Violation", "ZeroArm", "ZeroDenominator", "adjust_over_covariate", "benefit_true_value",
     "bound_arguments", "bounds", "catalog", "causal_effect_bounds", "check_compatibility",

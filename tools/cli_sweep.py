@@ -90,7 +90,7 @@ def inputs() -> list[tuple[str, str, list[str], list[str], bool]]:
             out.append((f"r{i}-{k}.json", study["text"], [], [repr(v) for v in study["payoffs"]],
                         "confounder" in study["data"]))
     for name in ("RUNNING", "MEDICINE", "FLU", "PARTIAL", "INCOMPATIBLE", "ZERO_PXY",
-                 "CONFOUNDER_ONLY"):
+                 "CONFOUNDER_ONLY", "CONFOUNDER_FROM_JOINT"):
         data = getattr(fixtures, name)
         out.append((f"{name.lower()}.json", json.dumps(data), [], list(FIXTURE_PAYOFFS),
                     "confounder" in data))
