@@ -22,11 +22,15 @@ pays for one scan; a refusal is raised, never cached.
 Which entries a dataset evaluates, and the records of those it cannot,
 depend only on its pattern of informative and exact quantities: a plan per
 target and pattern holds them, so each profile only does its arithmetic.
+The plan also holds the records' JSON, built once as a read-only
+:class:`~epsident.report.Fragment` that every report of the pattern shares.
+The effect scan is split the same way: each variant's checked cell value,
+marginal bound and labels are computed once per dataset and tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import catalog
@@ -57,6 +61,7 @@ from .forms import (
     QUANTITY_LABELS,
 )
 from .interval import Interval
+from .report import Fragment
 
 __all__ = [
     "QuantityRanges",
@@ -186,7 +191,7 @@ class NotEvaluated:
             "entry_id": self.entry_id,
             "premise": self.premise,
             "center": self.center,
-            "missing": list(self.missing),
+            "missing": self.missing,
         }
 
 
@@ -203,15 +208,25 @@ class EpsReport:
     fired: tuple[EpsIdentification, ...]
     tightest: EpsIdentification | None
     not_evaluated: tuple[NotEvaluated, ...]
+    # the JSON of ``not_evaluated``; a scan passes its plan's, which every
+    # report of that target and data pattern shares
+    not_evaluated_json: Fragment | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
+        """The report as JSON values; ``"not_evaluated"`` is a read-only
+        :class:`~epsident.report.Fragment`, shared with other reports."""
+        skipped = self.not_evaluated_json
         return {
             "quantity": self.quantity,
             "eps": self.eps,
             "fired": [f.to_json_dict() for f in self.fired],
             "tightest": None if self.tightest is None else self.tightest.to_json_dict(),
-            "not_evaluated": [n.to_json_dict() for n in self.not_evaluated],
+            "not_evaluated": _fragment(self.not_evaluated) if skipped is None else skipped,
         }
+
+
+def _fragment(skipped) -> Fragment:
+    return Fragment(map(NotEvaluated.to_json_dict, skipped))
 
 
 # Each cache holds a few datasets' worth of entries: a sweep over radii
@@ -228,10 +243,11 @@ def _ranges(exp, obs, assumptions, tol: float) -> QuantityRanges:
 
 class _Profile:
     """The eps-free part of one catalog scan: each evaluated entry's premise
-    value and center, and every not-evaluated record."""
+    value and center, and every not-evaluated record with its JSON."""
 
-    def __init__(self, quantity, den, evaluated, skipped) -> None:
-        self.quantity, self.den, self.evaluated, self.skipped = quantity, den, evaluated, skipped
+    def __init__(self, quantity, den, evaluated, skipped, skipped_json) -> None:
+        self.quantity, self.den, self.evaluated = quantity, den, evaluated
+        self.skipped, self.skipped_json = skipped, skipped_json
 
     def at(self, eps: float) -> EpsReport:
         """The scan's report at radius ``eps``: an entry fires when its premise
@@ -253,6 +269,7 @@ class _Profile:
             fired=tuple(fired),
             tightest=fired[0] if fired else None,
             not_evaluated=self.skipped,
+            not_evaluated_json=self.skipped_json,
         )
 
 
@@ -266,7 +283,8 @@ _PLAN_CACHE_SIZE = 256
 def _plan(quantity: str, pattern: tuple[tuple[bool, bool], ...]):
     """The catalog scan of one target as far as the data pattern decides it:
     each entry to evaluate as (premise terms, center terms, the rest of its
-    profile row), and the shared not-evaluated records."""
+    profile row), the shared not-evaluated records, and their JSON, built
+    and checked once here and rendered once per depth."""
     target = catalog.target(quantity)
     informative = {name: flag for name, (flag, _) in zip(QUANTITIES, pattern)}
     exact = {name: flag for name, (_, flag) in zip(QUANTITIES, pattern)}
@@ -289,7 +307,7 @@ def _plan(quantity: str, pattern: tuple[tuple[bool, bool], ...]):
             entry.center_sign, entry.entry_id, entry.premise_label, entry.threshold_label,
             entry.center_label,
         )))
-    return tuple(evaluate), tuple(skipped)
+    return tuple(evaluate), tuple(skipped), _fragment(skipped)
 
 
 @lru_cache(maxsize=_SCAN_CACHE_SIZE)
@@ -305,12 +323,12 @@ def _profile(quantity: str, exp, obs, assumptions, tol: float) -> _Profile:
     refuse_incompatible(exp, obs)
     den = den_value if den_value is not None else 1.0
 
-    plan, skipped = _plan(quantity, ranges._pattern)
+    plan, skipped, skipped_json = _plan(quantity, ranges._pattern)
     evaluated = tuple(
         (ranges.upper_value(premise), ranges.exact_value(center) / den, *rest)
         for premise, center, rest in plan
     )
-    return _Profile(quantity, den, evaluated, skipped)
+    return _Profile(quantity, den, evaluated, skipped, skipped_json)
 
 
 def eps_identify(
@@ -382,15 +400,25 @@ def eps_identify_effect(
         raise InvalidDistribution(f"unknown effect variant {variant!r}")
     check_eps(eps)
     check_unit(p_txy=p_txy, other_marginal_ub=other_marginal_ub)
-    cell, marginal = EFFECTS[variant].cell, EFFECTS[variant].opposite_marginal
-    condition = Condition(
-        entry_id=f"effect-{variant}",
-        premise=f"{QUANTITY_LABELS[marginal]} <= 2*eps",
-        premise_value=other_marginal_ub,
-        threshold="2*eps",
-        threshold_value=2.0 * eps,
-        center=f"{QUANTITY_LABELS[cell]} + eps",
+    return _effect_at(_effect_row(variant, p_txy, other_marginal_ub), eps)
+
+
+def _effect_row(variant: str, p_txy: float, other_marginal_ub: float) -> tuple:
+    """The eps-free part of one effect condition: its variant, cell value,
+    marginal bound, entry id, premise text and center text."""
+    effect = EFFECTS[variant]
+    return (
+        variant, p_txy, other_marginal_ub, f"effect-{variant}",
+        f"{QUANTITY_LABELS[effect.opposite_marginal]} <= 2*eps",
+        f"{QUANTITY_LABELS[effect.cell]} + eps",
     )
+
+
+def _effect_at(row: tuple, eps: float) -> EpsIdentification | NotIdentified:
+    """One effect condition at radius ``eps``: it fires when the marginal
+    bound is within the firing limit of the threshold ``2*eps``."""
+    variant, p_txy, ub, entry_id, premise, center = row
+    condition = Condition(entry_id, premise, ub, "2*eps", 2.0 * eps, center)
     return certify(variant, p_txy + eps, eps, condition, 2.0)
 
 
@@ -402,21 +430,13 @@ class EffectScan:
     skipped: dict[str, tuple[str, ...]]
 
 
-def eps_identify_effects(
-    eps: float,
-    obs: ObservationalDistribution | None = None,
-    assumptions: Assumptions | None = None,
-) -> EffectScan:
-    """Run :func:`eps_identify_effect` for every variant the data support.
-
-    The marginal bound comes from the joint when both its cells are present,
-    else from an asserted assumption; variants lacking either the cell or any
-    marginal bound are skipped with the missing quantity names.
-    """
-    check_eps(eps)
-    ranges = _ranges(None, obs, assumptions, get_tolerance())
-    results: dict[str, EpsIdentification | NotIdentified] = {}
-    skipped: dict[str, tuple[str, ...]] = {}
+@lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _effect_profile(obs, assumptions, tol: float) -> tuple[tuple, tuple]:
+    """The eps-free part of an effect scan of one dataset: a checked row per
+    variant the data support, and each other variant with its missing
+    quantities; ``tol`` is the tolerance in force."""
+    ranges = _ranges(None, obs, assumptions, tol)
+    rows, skipped = [], []
     for variant, effect in EFFECTS.items():
         cell, marginal = effect.cell, effect.opposite_marginal
         missing = []
@@ -427,10 +447,29 @@ def eps_identify_effects(
         if not ranges.informative(marginal):
             missing.append(marginal)
         if missing:
-            skipped[variant] = tuple(missing)
+            skipped.append((variant, tuple(missing)))
             continue
-        results[variant] = eps_identify_effect(cell_value, ub, eps, variant)
-    return EffectScan(results, skipped)
+        check_unit(p_txy=cell_value, other_marginal_ub=ub)
+        rows.append(_effect_row(variant, cell_value, ub))
+    return tuple(rows), tuple(skipped)
+
+
+def eps_identify_effects(
+    eps: float,
+    obs: ObservationalDistribution | None = None,
+    assumptions: Assumptions | None = None,
+) -> EffectScan:
+    """Run :func:`eps_identify_effect` for every variant the data support.
+
+    The marginal bound comes from the joint when both its cells are present,
+    else from an asserted assumption; variants lacking either the cell or any
+    marginal bound are skipped with the missing quantity names.  As in the
+    catalog scans, the eps-free work is shared by every radius asked of the
+    same data under the same tolerance.
+    """
+    check_eps(eps)
+    rows, skipped = _effect_profile(obs, assumptions, get_tolerance())
+    return EffectScan({row[0]: _effect_at(row, eps) for row in rows}, dict(skipped))
 
 
 def minimal_epsilon(

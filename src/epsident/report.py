@@ -20,6 +20,14 @@ memoizes the text of every float it has written, since a report repeats
 the same values across radii.  Plain ``str``, ``float`` and ``None`` values
 are written inside their container's loop; every other value takes the
 ``isinstance`` chain, so subclasses and faults behave as before.
+
+A :class:`Fragment` is a part of a report that many reports share and none
+may change: a tuple of read-only records whose values are ``str`` or tuples
+of ``str``, checked when it is built.  The engine builds one for each
+plan's not-evaluated records.  Its first render at a depth stores its text
+on the fragment, and later renders at that depth append the stored text;
+the text lives as long as the fragment, so no cache of the renderer holds
+it.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import math
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
 
-__all__ = ["canonicalize", "render_json", "parse_json"]
+__all__ = ["Fragment", "canonicalize", "render_json", "parse_json"]
 
 
 def _canon_float(v: float) -> float:
@@ -72,6 +80,55 @@ def _key_lines(keys: tuple[str, ...], newline: str) -> tuple[tuple[int, str], ..
     )
 
 
+class _Record(dict):
+    """One record of a :class:`Fragment`: a dict that refuses every write."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a report fragment is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Record, (dict(self),)
+
+
+class Fragment(tuple):
+    """A read-only list of flat records that renders to one stored text per
+    depth.  Each record is a dict of ``str`` keys to ``str`` values or tuples
+    of ``str``; anything else is refused here, so the stored text is always
+    the canonical JSON of the records."""
+
+    def __new__(cls, records):
+        checked = []
+        for record in records:
+            if not isinstance(record, dict):
+                raise ValueError(f"fragment records must be dicts, got {type(record).__name__}")
+            for key, value in record.items():
+                if type(key) is not str:
+                    raise ValueError(f"report keys must be strings, got {[key]!r}")
+                if type(value) is not str and not (
+                    type(value) is tuple and all(type(v) is str for v in value)
+                ):
+                    raise ValueError(
+                        f"fragment values must be str or tuples of str, got {value!r} at {key!r}"
+                    )
+            checked.append(_Record(record))
+        fragment = super().__new__(cls, checked)
+        fragment._texts = {}
+        return fragment
+
+    def text(self, newline: str) -> str:
+        """The canonical JSON of the records at the depth ``newline`` opens."""
+        text = self._texts.get(newline)
+        if text is None:
+            parts: list[str] = []
+            _emit_list(self, parts.append, newline, {})
+            text = self._texts[newline] = "".join(parts)
+        return text
+
+
 def _float_text(value: float, floats: dict) -> str:
     text = floats[value] = float.__repr__(_canon_float(value))
     return text
@@ -83,9 +140,10 @@ def _emit(obj, append, newline: str, floats: dict) -> None:
 
     The containers write plain ``str``, ``float``, ``None``, ``dict``,
     ``list`` and ``tuple`` values themselves; this takes the report itself
-    and every other value.  Module-level functions rather than closures
-    inside render_json: a closure that calls itself is a reference cycle,
-    which would keep each call's parts alive until the garbage collector ran.
+    and every other value, a :class:`Fragment` among them.  Module-level
+    functions rather than closures inside render_json: a closure that calls
+    itself is a reference cycle, which would keep each call's parts alive
+    until the garbage collector ran.
     """
     if isinstance(obj, str):
         append(_encode_str(obj))
@@ -101,6 +159,8 @@ def _emit(obj, append, newline: str, floats: dict) -> None:
         append(int.__repr__(obj))
     elif isinstance(obj, dict):
         _emit_dict(obj, append, newline, floats)
+    elif isinstance(obj, Fragment):
+        append(obj.text(newline))
     elif isinstance(obj, (list, tuple)):
         _emit_list(obj, append, newline, floats)
     else:

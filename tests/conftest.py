@@ -21,10 +21,12 @@ settings.load_profile("seeded")
 def _cold_scan_caches():
     """Start every test with empty scan, plan, key-line and oracle pattern
     caches, so that counts of the work a scan, a render or the oracle does
-    never depend on which tests ran before.  The oracle's cache is cleared
-    only once something has imported it, so that this fixture never loads
-    numpy."""
+    never depend on which tests ran before.  Each plan's not-evaluated
+    fragment stores its rendered texts on itself, so they go with the plans.
+    The oracle's cache is cleared only once something has imported it, so
+    that this fixture never loads numpy."""
     engine._profile.cache_clear()
+    engine._effect_profile.cache_clear()
     engine._ranges.cache_clear()
     engine._plan.cache_clear()
     report._key_lines.cache_clear()

@@ -42,6 +42,7 @@ from epsident.engine import (
 from epsident.errors import EpsidentError
 from epsident.forms import QUANTITIES, QUANTITY_LABELS
 from epsident.interval import Interval
+from epsident.report import render_json
 
 
 def _reference_ranges(exp=None, obs=None, assumptions=None) -> dict[str, Interval]:
@@ -598,6 +599,49 @@ class TestEpsFreeProfile:
         again = eps_identify_effects(0.1, obs, Assumptions(p_xp_max=-0.0))
         fresh = _reference_effects(0.1, obs, Assumptions(p_xp_max=-0.0))
         assert repr(first) == repr(again) == repr(fresh)
+
+    def test_one_effect_profile_serves_every_radius(self):
+        # the effect scan checks and labels each variant once per dataset,
+        # and hands each call a skipped dict of its own
+        obs, assumptions = ObservationalDistribution(p_xy=0.52), Assumptions(p_xp_max=0.04)
+        scans = [eps_identify_effects(eps, obs, assumptions) for eps in EPS_SWEEP]
+        assert scans == [_reference_effects(eps, obs, assumptions) for eps in EPS_SWEEP]
+        assert engine._effect_profile.cache_info().misses == 1
+        scans[0].skipped.clear()
+        assert eps_identify_effects(EPS_SWEEP[0], obs, assumptions).skipped == scans[1].skipped != {}
+
+    def test_writing_into_returned_not_evaluated_changes_no_later_report(self, running_exp):
+        # every report of one target and data pattern shares one read-only
+        # JSON of its not-evaluated records, kept out of repr and equality
+        report = eps_identify_pns(running_exp, eps=0.1)
+        first = report.to_json_dict()
+        want = render_json(first)
+        records = first["not_evaluated"]
+        assert len(records) == len(report.not_evaluated) > 0
+        assert records is eps_identify_pns(running_exp, eps=0.2).to_json_dict()["not_evaluated"]
+        assert "not_evaluated_json" not in repr(report)
+        assert EpsReport(report.quantity, report.eps, report.fired, report.tightest,
+                         report.not_evaluated) == report
+        record = records[0]
+        writes = [
+            lambda: records.append({}),
+            lambda: records.__setitem__(0, {}),
+            lambda: records.__delitem__(0),
+            lambda: record.__setitem__("center", "x"),
+            lambda: record.__delitem__("center"),
+            lambda: record.__ior__({"center": "x"}),
+            lambda: record.update(center="x"),
+            lambda: record.setdefault("extra", "x"),
+            lambda: record.pop("center"),
+            lambda: record.popitem(),
+            lambda: record.clear(),
+            lambda: record["missing"].append("p_x"),
+        ]
+        for write in writes:
+            with pytest.raises((TypeError, AttributeError)):
+                write()
+        assert render_json(first) == want
+        assert render_json(eps_identify_pns(running_exp, eps=0.1).to_json_dict()) == want
 
 
 def _oracle_ranges(exp, obs, assumptions) -> dict:

@@ -38,8 +38,8 @@ PUBLIC_NAMES = [
     "eps_identify_effects", "eps_identify_pn", "eps_identify_pns", "eps_identify_ps", "errors",
     "feasible_range", "feasible_vertices", "forms", "from_counts", "get_tolerance",
     "identify_monotone", "interval", "minimal_epsilon", "oracle", "parse_counts_csv",
-    "parse_input_json", "pn_bounds", "pns_bounds", "ps_bounds", "sample_joint", "set_tolerance",
-    "unitselect",
+    "parse_input_json", "pn_bounds", "pns_bounds", "ps_bounds", "report", "sample_joint",
+    "set_tolerance", "unitselect",
 ]
 
 CLI_CALL = """

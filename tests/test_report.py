@@ -1,7 +1,11 @@
+import copy
 import gc
 import importlib
 import json
 import math
+import pickle
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -9,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epsident
+from epsident import engine
 from epsident import report as report_module
-from epsident.report import canonicalize, parse_json, render_json
+from epsident.report import Fragment, canonicalize, parse_json, render_json
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -68,9 +73,10 @@ FAULTS = [math.inf, -math.inf, math.nan, Float("inf"), set(), frozenset(), b"x",
 
 
 def cold_and_warm(report) -> list[str]:
-    """The report rendered with an empty key-line cache, then again with its
-    shapes cached."""
+    """The report rendered with empty key-line and plan caches, then again
+    with its shapes cached and its fragments' texts stored."""
     report_module._key_lines.cache_clear()
+    engine._plan.cache_clear()
     return [render_json(report), render_json(report)]
 
 
@@ -250,6 +256,87 @@ class TestErrorParity:
         else:
             target[data.draw(texts.filter(lambda key: key not in target))] = fault
         assert raised(render_json, report) == raised(reference_render, report)
+
+
+RECORDS = (
+    {"entry_id": "pns-lower-1", "premise": "P(y'_x) <= 2*eps", "center": "P(y_x) - P(y_x')",
+     "missing": ("p_y_do_x", "p_xy")},
+    {"z": "\u00e9\u2028\ud800\"", "a": (), "m": ("",)},
+)
+record_texts = st.one_of(texts, st.lists(texts, max_size=3).map(tuple))
+fragment_records = st.lists(st.dictionaries(texts, record_texts, max_size=4), max_size=4)
+
+
+def _nest(value, depth: int):
+    """``value`` placed ``depth`` containers deep, dicts and lists in turn."""
+    for level in range(depth):
+        value = {"k": value} if level % 2 else [value]
+    return value
+
+
+class TestFragment:
+    """A fragment renders like the list of its records, and stores the text."""
+
+    def test_at_two_depths_cold_and_warm(self):
+        fragment = Fragment(RECORDS)
+        report = {"b": fragment, "a": [{"x": fragment}], "c": [RECORDS[0], fragment]}
+        assert cold_and_warm(report) == [reference_render(report)] * 2
+        assert len(fragment._texts) == 3
+
+    @given(fragment_records, st.integers(0, 4), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_any_records_at_any_two_depths(self, records, first, second):
+        fragment = Fragment(records)
+        report = {"a": _nest(fragment, first), "b": _nest(fragment, second)}
+        assert cold_and_warm(report) == [reference_render(report)] * 2
+
+    def test_scan_reports_cold_and_warm(self, running_exp):
+        reports = [engine.eps_identify("pns", running_exp, eps=eps).to_json_dict()
+                   for eps in (0.1, 0.2)]
+        assert reports[0]["not_evaluated"] is reports[1]["not_evaluated"]
+        report = {"scans": reports, "first": reports[0]}
+        assert cold_and_warm(report) == [reference_render(report)] * 2
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"a": 0.5}, {"a": math.nan}, {1: "x"}, {Alias("a"): "x"}, {"a": Alias("x")},
+         {"a": ["p_xy"]}, {"a": ("p_xy", 1)}, {"a": None}, {"a": {"b": "c"}}, "a", ("a", "b")],
+        ids=["float", "nan", "int-key", "alias-key", "alias-value", "list", "tuple-of-int",
+             "none", "dict", "str-record", "tuple-record"],
+    )
+    def test_refuses_anything_but_str_at_construction(self, record):
+        with pytest.raises(ValueError):
+            Fragment([RECORDS[0], record])
+
+    def test_copies_are_equal_and_render_alike(self):
+        fragment = Fragment(RECORDS)
+        want = render_json({"f": fragment})
+        for twin in (pickle.loads(pickle.dumps(fragment)), copy.deepcopy(fragment), Fragment(fragment)):
+            assert twin == fragment and render_json({"f": twin}) == want
+
+    def test_threads_sharing_a_fragment_print_identical_bytes(self):
+        fragment = Fragment(RECORDS * 50)
+        reports = [{"d": _nest(fragment, depth), "n": depth / 7} for depth in range(6)]
+        want = [reference_render(report) for report in reports]
+        got: list = []
+        barrier = threading.Barrier(8)
+
+        def render_all():
+            barrier.wait(timeout=10)
+            got.append([render_json(report) for report in reports for _ in range(20)])
+
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=render_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(before)
+        assert got == [[text for text in want for _ in range(20)]] * 8
 
 
 def test_render_leaves_no_reference_cycle():
