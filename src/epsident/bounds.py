@@ -17,11 +17,21 @@ P(y_{x'}) and the observational joint P(X,Y):
 The argument systems live in :mod:`epsident.catalog`; this module evaluates
 them on concrete data and owns the adjustment over one explicit binary
 covariate.
+
+Each dataset fact is computed once: the compatibility violations of an
+(exp, obs) pair and each target's tight bounds sit in small bounded caches
+keyed by the (frozen, hashable) records and the tolerance in force, so the
+bounds, the scans and the minimal radius of one dataset share them.  A
+refusal is never cached: :class:`Incompatible` is raised on every call from
+the cached violations, and a missing atom or zero denominator is raised
+afresh.  :func:`~epsident.distributions.check_compatibility`, the public
+diagnostic, stays uncached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 from . import catalog
@@ -91,16 +101,30 @@ class EvaluatedArgument:
     value: float
 
 
+# Each cache holds a few datasets' worth of entries, like the engine's scan
+# caches: one dataset's bounds, scans and minimal radius reuse them.
+_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _violations(exp, obs, tol: float) -> tuple:
+    """The compatibility violations of one dataset; ``tol``, the tolerance in
+    force, is part of the key because the check reads it."""
+    return tuple(check_compatibility(exp, obs).violations)
+
+
 def refuse_incompatible(
     exp: ExperimentalDistribution | None,
     obs: ObservationalDistribution | None,
 ) -> None:
-    """Raise :class:`Incompatible` when the data violate a compatibility constraint."""
+    """Raise :class:`Incompatible` when the data violate a compatibility
+    constraint; the check is made once per dataset and tolerance, the
+    refusal on every call."""
     if exp is None or obs is None:
         return
-    report = check_compatibility(exp, obs)
-    if report.violations:
-        raise Incompatible(report.violations)
+    violations = _violations(exp, obs, get_tolerance())
+    if violations:
+        raise Incompatible(violations)
 
 
 def causal_effect_bounds(
@@ -140,14 +164,8 @@ def bound_arguments(
     Raw means pre-clamp: ratio arguments may fall outside [0,1] on noisy
     inputs, which is exactly what reports should surface.
     """
-    target = catalog.target(quantity)
-    args = target.lower + target.upper
-    atoms: list[str] = []
-    for arg in args:
-        atoms.extend(arg.expr.atoms())
-        if arg.denominator is not None:
-            atoms.append(arg.denominator)
-    values = require_atoms(exp, obs, tuple(dict.fromkeys(atoms)), f"{quantity} bounds")
+    target, args, atoms = _target_arguments(quantity)
+    values = require_atoms(exp, obs, atoms, f"{quantity} bounds")
     den = target.denominator
     target.require_denominator(values.get(den))
     out = []
@@ -157,6 +175,19 @@ def bound_arguments(
             value = value / values[den]
         out.append(EvaluatedArgument(arg.name, arg.side, arg.label, value))
     return out
+
+
+@lru_cache(maxsize=len(catalog.TARGETS))
+def _target_arguments(quantity: str):
+    """A target, its bound arguments, and the atoms they read, in order."""
+    target = catalog.target(quantity)
+    args = target.lower + target.upper
+    atoms: list[str] = []
+    for arg in args:
+        atoms.extend(arg.expr.atoms())
+        if arg.denominator is not None:
+            atoms.append(arg.denominator)
+    return target, args, tuple(dict.fromkeys(atoms))
 
 
 def tight_interval(evaluated: list[EvaluatedArgument]) -> Interval:
@@ -173,7 +204,17 @@ def target_bounds(
     exp: ExperimentalDistribution,
     obs: ObservationalDistribution,
 ) -> Interval:
-    """Tight bounds on one of :data:`catalog.TARGETS`; refuses incompatible data."""
+    """Tight bounds on one of :data:`catalog.TARGETS`; refuses incompatible data.
+
+    The bounds are computed once per dataset and tolerance; refusals are
+    raised on every call, never cached."""
+    return _target_bounds(quantity, exp, obs, get_tolerance())
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _target_bounds(quantity: str, exp, obs, tol: float) -> Interval:
+    """The tight bounds of one target on one dataset; ``tol`` is the
+    tolerance in force."""
     evaluated = bound_arguments(quantity, exp, obs)
     refuse_incompatible(exp, obs)
     return tight_interval(evaluated)

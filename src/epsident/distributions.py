@@ -346,15 +346,24 @@ class Condition:
     center: str
 
     def to_json_dict(self) -> dict:
-        return _set_fields(self)
+        # every field is required, so all of them are written
+        return {
+            "entry_id": self.entry_id,
+            "premise": self.premise,
+            "premise_value": self.premise_value,
+            "threshold": self.threshold,
+            "threshold_value": self.threshold_value,
+            "center": self.center,
+        }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EpsIdentification:
     """A certified statement: the target lies within [q - eps, q + eps].
 
     ``certified`` is the raw radius-eps interval around the center; use
-    :meth:`certified_clamped` for probability-valued targets.
+    :meth:`certified_clamped` for probability-valued targets.  The
+    constructor validates first and then sets each field once.
     """
 
     quantity: str
@@ -363,12 +372,17 @@ class EpsIdentification:
     condition: Condition
     certified: Interval = field(init=False)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.q):
-            raise InvalidDistribution(f"center must be finite, got {self.q!r}")
-        if not (self.eps >= 0.0):
-            raise InvalidDistribution(f"radius must be >= 0, got {self.eps!r}")
-        object.__setattr__(self, "certified", Interval(self.q - self.eps, self.q + self.eps))
+    def __init__(self, quantity: str, q: float, eps: float, condition: Condition) -> None:
+        if not math.isfinite(q):
+            raise InvalidDistribution(f"center must be finite, got {q!r}")
+        if not (eps >= 0.0):
+            raise InvalidDistribution(f"radius must be >= 0, got {eps!r}")
+        certified = Interval(q - eps, q + eps)
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "certified", certified)
 
     def certified_clamped(self) -> Interval:
         return self.certified.clamped(0.0, 1.0)

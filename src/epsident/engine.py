@@ -30,6 +30,7 @@ marginal bound and labels are computed once per dataset and tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -50,7 +51,7 @@ from .distributions import (
     firing_limit,
     present_atoms,
 )
-from .errors import Incompatible, InvalidDistribution
+from .errors import EmptyInterval, Incompatible, InvalidDistribution
 from .forms import (
     CELL_ATOMS,
     COMPLEMENTS,
@@ -89,6 +90,8 @@ class QuantityRanges:
     mass can concentrate inside or outside them; asserted marginal bounds
     intersect in, on both a marginal and its complement.  A quantity is
     ``informative`` when its interval is narrower than the vacuous [0,1].
+    Each range is kept as a checked ``(lo, hi)`` pair; :meth:`interval`
+    builds its :class:`Interval` on demand.
     """
 
     def __init__(
@@ -97,15 +100,20 @@ class QuantityRanges:
         obs: ObservationalDistribution | None = None,
         assumptions: Assumptions | None = None,
     ) -> None:
-        iv: dict[str, Interval] = {}
+        iv: dict[str, tuple[float, float]] = {}
+        tol = get_tolerance()
 
         def put(name: str, lo: float, hi: float) -> None:
             lo, hi = max(lo, 0.0), min(hi, 1.0)
-            if lo > hi + get_tolerance():
+            if lo > hi + tol:
                 raise Incompatible(
                     [f"{QUANTITY_LABELS[name]} constrained to empty range [{lo:.6g}, {hi:.6g}]"]
                 )
-            iv[name] = Interval(min(lo, hi), hi)
+            lo = min(lo, hi)
+            # false for nan and inf, which an Interval refuses
+            if not -math.inf < lo <= hi < math.inf:
+                raise EmptyInterval(f"interval endpoints must be finite, got [{lo}, {hi}]")
+            iv[name] = (lo, hi)
 
         # an absent arm can take any value; absent cells share the free mass
         present = present_atoms(exp, obs)
@@ -126,27 +134,28 @@ class QuantityRanges:
         for field, ub in present_atoms(assumptions).items():
             name = field.removesuffix("_max")
             comp = COMPLEMENTS[name]
-            cur = iv[name]
-            put(name, cur.lo, min(cur.hi, ub))
-            cur = iv[comp]
-            put(comp, max(cur.lo, 1.0 - ub), cur.hi)
+            lo, hi = iv[name]
+            put(name, lo, min(hi, ub))
+            lo, hi = iv[comp]
+            put(comp, max(lo, 1.0 - ub), hi)
             # a marginal bound also caps its member cells
             for cell in QUANTITY_ATOMS[name]:
-                cur = iv[cell]
-                put(cell, cur.lo, min(cur.hi, ub))
+                lo, hi = iv[cell]
+                put(cell, lo, min(hi, ub))
 
         self._iv = iv
 
     def interval(self, name: str) -> Interval:
-        return self._iv[name]
+        return Interval(*self._iv[name])
 
     def exact(self, name: str) -> float | None:
-        r = self._iv[name]
-        return r.midpoint if r.width <= _EXACT else None
+        lo, hi = self._iv[name]
+        return 0.5 * (lo + hi) if hi - lo <= _EXACT else None
 
     def informative(self, name: str) -> bool:
-        r = self._iv[name]
-        return r.lo > get_tolerance() or r.hi < 1.0 - get_tolerance() or r.width <= _EXACT
+        lo, hi = self._iv[name]
+        tol = get_tolerance()
+        return lo > tol or hi < 1.0 - tol or hi - lo <= _EXACT
 
     @cached_property
     def _pattern(self) -> tuple[tuple[bool, bool], ...]:
@@ -163,8 +172,8 @@ class QuantityRanges:
         a premise certificate)."""
         total = 0.0
         for coef, name in terms:
-            r = self._iv[name]
-            total += coef * (r.hi if coef > 0 else r.lo)
+            lo, hi = self._iv[name]
+            total += coef * (hi if coef > 0 else lo)
         return total
 
     def exact_value(self, terms) -> float | None:
@@ -443,7 +452,7 @@ def _effect_profile(obs, assumptions, tol: float) -> tuple[tuple, tuple]:
         cell_value = ranges.exact(cell)
         if cell_value is None:
             missing.append(cell)
-        ub = ranges.interval(marginal).hi
+        ub = ranges._iv[marginal][1]
         if not ranges.informative(marginal):
             missing.append(marginal)
         if missing:

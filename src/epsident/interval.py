@@ -10,21 +10,25 @@ from .errors import EmptyInterval
 
 __all__ = ["Interval"]
 
+# sets a field of a frozen record, once, from its own constructor
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Interval:
     """A closed interval [lo, hi].
 
     Construction raises :class:`EmptyInterval` when lo > hi beyond the
     global tolerance; excursions within tolerance are snapped to a point.
+    The constructor validates first and then sets each field once.
     """
 
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
+    def __init__(self, lo: float, hi: float) -> None:
+        lo = float(lo)
+        hi = float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise EmptyInterval(f"interval endpoints must be finite, got [{lo}, {hi}]")
         if lo > hi:
@@ -32,8 +36,8 @@ class Interval:
                 raise EmptyInterval(f"lo={lo} exceeds hi={hi}")
             mid = 0.5 * (lo + hi)
             lo = hi = mid
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @property
     def width(self) -> float:

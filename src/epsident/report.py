@@ -17,9 +17,13 @@ pure-Python encoder, after a full normalized copy.)
 Work that depends only on a shape is done once: a dict's key lines (sorted,
 encoded, indented) are cached per key tuple and depth, and each render
 memoizes the text of every float it has written, since a report repeats
-the same values across radii.  Plain ``str``, ``float`` and ``None`` values
-are written inside their container's loop; every other value takes the
-``isinstance`` chain, so subclasses and faults behave as before.
+the same values across radii.  A float's text is one ``%.12g`` format call
+whenever that text has no exponent, which :func:`_float_text` proves equal
+to the format, parse and ``repr`` path every other float takes.  Plain
+``str``, ``float`` and ``None`` values are written inside their container's
+loop; every other value takes the ``isinstance`` chain, so subclasses and
+faults behave as before.  The renderer caches no refusal: a report with a
+fault raises on every render.
 
 A :class:`Fragment` is a part of a report that many reports share and none
 may change: a tuple of read-only records whose values are ``str`` or tuples
@@ -130,7 +134,26 @@ class Fragment(tuple):
 
 
 def _float_text(value: float, floats: dict) -> str:
-    text = floats[value] = float.__repr__(_canon_float(value))
+    """``float.__repr__(_canon_float(value))``, in one format call when it can
+    be, stored in ``floats``.
+
+    Let s be ``"%.12g" % value``.  Without an exponent (and not nan or inf),
+    s is a decimal d of at most 12 significant digits with no trailing
+    zeros, and the canonical float is the double nearest d.  Any decimal of
+    at most 15 significant digits round-trips through a double, so no other
+    decimal of at most 12 digits maps to that double and d is the shortest
+    text that does: ``repr`` writes d's digits.  ``repr`` and ``%g`` both
+    write exponents in [-4, 12) as plain digits, so the two texts differ only
+    in repr's ``.0`` on a whole number and in ``-0``, which canonicalizes to
+    ``0.0``.  Everything else (exponents, nan, inf) takes the general path,
+    which raises on the non-finite.
+    """
+    text = "%.12g" % value
+    if "e" in text or "n" in text:
+        text = float.__repr__(_canon_float(value))
+    elif "." not in text:
+        text = "0.0" if text == "-0" else text + ".0"
+    floats[value] = text
     return text
 
 

@@ -9,7 +9,7 @@ from epsident import (
     StudyCounts,
     from_counts,
 )
-from epsident import engine, report
+from epsident import bounds, engine, report
 
 # every property draws the same examples on every run: the seed is a hash of
 # the test, so a failure reproduces without an example database
@@ -20,11 +20,16 @@ settings.load_profile("seeded")
 @pytest.fixture(autouse=True)
 def _cold_scan_caches():
     """Start every test with empty scan, plan, key-line and oracle pattern
-    caches, so that counts of the work a scan, a render or the oracle does
-    never depend on which tests ran before.  Each plan's not-evaluated
-    fragment stores its rendered texts on itself, so they go with the plans.
-    The oracle's cache is cleared only once something has imported it, so
-    that this fixture never loads numpy."""
+    caches, and with empty ``bounds`` caches (the compatibility violations
+    in ``_violations``, the tight bounds in ``_target_bounds`` and each
+    target's arguments in ``_target_arguments``), so that counts of the work
+    a scan, a bound, a render or the oracle does never depend on which tests
+    ran before.  Each plan's not-evaluated fragment stores its rendered texts
+    on itself, so they go with the plans.  The oracle's cache is cleared only
+    once something has imported it, so that this fixture never loads numpy."""
+    bounds._violations.cache_clear()
+    bounds._target_bounds.cache_clear()
+    bounds._target_arguments.cache_clear()
     engine._profile.cache_clear()
     engine._effect_profile.cache_clear()
     engine._ranges.cache_clear()

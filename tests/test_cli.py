@@ -11,6 +11,7 @@ import pytest
 
 from epsident import (
     EpsidentError,
+    Incompatible,
     ExperimentalDistribution,
     Interval,
     ObservationalDistribution,
@@ -20,7 +21,7 @@ from epsident import (
 )
 from epsident import bounds, cli, distributions, engine, oracle
 from epsident.cli import main
-from epsident.config import DEFAULT_TOLERANCE, set_tolerance
+from epsident.config import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
 from epsident.forms import QUANTITIES
 from epsident.report import parse_json, render_json
 
@@ -693,8 +694,8 @@ class TestRepeatedWork:
         assert len(calls) == 1
 
     def test_sweep_profiles_each_target_once(self, monkeypatch):
-        # one range build for the dataset and one refusal check per target,
-        # however many radii are asked
+        # one range build and one compatibility check for the dataset,
+        # however many targets and radii are asked
         exp = ExperimentalDistribution(0.7, 0.3)
         obs = ObservationalDistribution(0.4, 0.1, 0.2, 0.3)
         ranges = _count_calls(monkeypatch, [engine], "QuantityRanges")
@@ -703,7 +704,46 @@ class TestRepeatedWork:
             for name in ("pns", "pn", "ps"):
                 engine.eps_identify(name, exp, obs, eps)
         assert len(ranges) == 1
-        assert len(compat) == 3
+        assert len(compat) == 1
+
+    def test_bounds_and_minimal_radius_evaluate_once(self, monkeypatch):
+        # the minimal radius reads the tight bounds the bounds call computed
+        exp = ExperimentalDistribution(0.7, 0.3)
+        obs = ObservationalDistribution(0.4, 0.1, 0.2, 0.3)
+        arguments = _count_calls(monkeypatch, [bounds], "bound_arguments")
+        interval = bounds.pns_bounds(exp, obs)
+        assert engine.minimal_epsilon("pns", exp, obs) == (
+            interval.width / 2.0, interval.midpoint)
+        assert len(arguments) == 1
+
+    def test_cached_compatibility_follows_the_tolerance(self, monkeypatch):
+        # P(x,y) exceeds P(y_x) by 0.02: refused at the default tolerance,
+        # accepted at 0.05, and refused again, on every call, once restored
+        exp = ExperimentalDistribution(0.38, 0.3)
+        obs = ObservationalDistribution(0.4, 0.1, 0.2, 0.3)
+        compat = _count_calls(monkeypatch, [distributions, bounds, engine], "check_compatibility")
+
+        def refused() -> None:
+            for _ in range(2):
+                with pytest.raises(Incompatible):
+                    bounds.pns_bounds(exp, obs)
+                with pytest.raises(Incompatible):
+                    engine.eps_identify("pns", exp, obs, 0.1)
+                with pytest.raises(Incompatible):
+                    bounds.refuse_incompatible(exp, obs)
+
+        before = get_tolerance()
+        refused()
+        try:
+            set_tolerance(0.05)
+            bounds.refuse_incompatible(exp, obs)
+            assert isinstance(bounds.pns_bounds(exp, obs), Interval)
+            assert engine.eps_identify("pns", exp, obs, 0.1).quantity == "pns"
+        finally:
+            set_tolerance(before)
+        refused()
+        # one check per tolerance: the second refusal reads the first's result
+        assert len(compat) == 2
 
     def test_sweep_reads_each_data_pattern_once(self, monkeypatch):
         # pns, pn and ps share one dataset's pattern of informative and exact

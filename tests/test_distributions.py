@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +21,15 @@ from epsident import (
     parse_counts_csv,
     parse_input_json,
 )
-from epsident.distributions import check_eps, check_unit, present_atoms, require_atoms
+from epsident.distributions import (
+    Condition,
+    EpsIdentification,
+    check_eps,
+    check_unit,
+    present_atoms,
+    require_atoms,
+)
+from epsident.interval import Interval
 
 counts_st = st.integers(min_value=0, max_value=10_000)
 
@@ -152,6 +164,58 @@ class TestCompatibility:
         report = check_compatibility(exp, None)
         assert report.ok
         assert len(report.not_evaluated) == 8
+
+
+CONDITION = Condition("pns-01", "premise <= 2*eps", 0.1, "2*eps", 0.2, "center + eps")
+
+
+class TestEpsIdentification:
+    # its own constructor checks the center and radius before setting anything
+
+    def test_certified_is_the_radius_eps_interval(self):
+        ident = EpsIdentification("pns", 0.4, 0.1, CONDITION)
+        assert ident.certified == Interval(0.4 - 0.1, 0.4 + 0.1)
+        assert ident.certified_clamped() == Interval(0.4 - 0.1, 0.4 + 0.1)
+        assert EpsIdentification("pns", 0.95, 0.1, CONDITION).certified_clamped().hi == 1.0
+        assert ident == EpsIdentification(quantity="pns", q=0.4, eps=0.1, condition=CONDITION)
+        assert hash(ident) == hash(EpsIdentification("pns", 0.4, 0.1, CONDITION))
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_refused(self, q):
+        with pytest.raises(InvalidDistribution, match="center must be finite"):
+            EpsIdentification("pns", q, 0.1, CONDITION)
+
+    @pytest.mark.parametrize("eps", [-0.1, -1e-300, math.nan])
+    def test_negative_radius_refused(self, eps):
+        with pytest.raises(InvalidDistribution, match="radius must be >= 0"):
+            EpsIdentification("pns", 0.4, eps, CONDITION)
+
+    def test_certified_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            EpsIdentification("pns", 0.4, 0.1, CONDITION, Interval(0.0, 1.0))
+        ident = EpsIdentification("pns", 0.4, 0.1, CONDITION)
+        with pytest.raises(ValueError):
+            dataclasses.replace(ident, certified=Interval(0.0, 1.0))
+        assert dataclasses.replace(ident, eps=0.2).certified == Interval(0.4 - 0.2, 0.4 + 0.2)
+
+    def test_pickle_and_json(self):
+        ident = EpsIdentification("pns", 0.4, 0.1, CONDITION)
+        assert pickle.loads(pickle.dumps(ident)) == ident
+        assert ident.to_json_dict() == {
+            "quantity": "pns",
+            "q": 0.4,
+            "eps": 0.1,
+            "condition": {
+                "entry_id": "pns-01",
+                "premise": "premise <= 2*eps",
+                "premise_value": 0.1,
+                "threshold": "2*eps",
+                "threshold_value": 0.2,
+                "center": "center + eps",
+            },
+            "certified": [0.4 - 0.1, 0.4 + 0.1],
+        }
+        assert CONDITION.to_json_dict() == dataclasses.asdict(CONDITION)
 
 
 class TestAtoms:

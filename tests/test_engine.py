@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from epsident import (
     Assumptions,
+    EmptyInterval,
     EpsIdentification,
     ExperimentalDistribution,
     Incompatible,
@@ -525,6 +526,37 @@ class TestQuantityRanges:
             assert {name: (got.interval(name).lo.hex(), got.interval(name).hi.hex())
                     for name in QUANTITIES} == {
                 name: (iv.lo.hex(), iv.hi.hex()) for name, iv in expected.items()}
+
+
+    def test_interval_built_on_demand(self):
+        ranges = QuantityRanges(
+            ExperimentalDistribution(0.7), ObservationalDistribution(p_xy=0.4, p_xyp=0.1)
+        )
+        for name in QUANTITIES:
+            interval = ranges.interval(name)
+            assert type(interval) is Interval
+            assert interval == ranges.interval(name)
+            exact = ranges.exact(name)
+            assert (exact is not None) == (interval.width <= 1e-12)
+        assert ranges.interval("p_y_do_x").as_tuple() == (0.7, 0.7)
+        assert ranges.interval("p_x").as_tuple() == (0.5, 0.5)
+        assert ranges.interval("p_xpy").as_tuple() == (0.0, 0.5)
+        assert ranges.interval("p_y_do_xp").as_tuple() == (0.0, 1.0)
+
+    def test_contradicting_bounds_refused(self):
+        with pytest.raises(Incompatible, match=r"P\(x\) constrained to empty range \[0\.5, 0\.3\]"):
+            QuantityRanges(None, ObservationalDistribution(p_xy=0.4, p_xyp=0.1),
+                           Assumptions(p_x_max=0.3))
+
+    def test_non_finite_range_is_empty(self):
+        # a record that skipped its own validation: the range refuses it as
+        # an Interval would
+        obs = object.__new__(ObservationalDistribution)
+        for cell in ObservationalDistribution.__slots__:
+            object.__setattr__(obs, cell, None)
+        object.__setattr__(obs, "p_xy", math.nan)
+        with pytest.raises(EmptyInterval, match="must be finite"):
+            QuantityRanges(None, obs)
 
 
 class TestEpsFreeProfile:

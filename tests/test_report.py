@@ -4,12 +4,13 @@ import importlib
 import json
 import math
 import pickle
+import struct
 import sys
 import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import epsident
@@ -153,6 +154,48 @@ def test_round_trip_byte_identical():
 def test_float_canonicalization_idempotent(x):
     once = canonicalize(x)
     assert canonicalize(once) == once
+
+
+def _general_float_text(value: float) -> str:
+    """The canonical text of a float by the format, parse and repr path."""
+    return float.__repr__(report_module._canon_float(value))
+
+
+class TestFloatText:
+    # the one-format-call text must equal the general path's for every finite
+    # float, and the non-finite must still raise
+    EDGES = (
+        -0.0, 0.0, 1e-4, 9.99999999999e-5, 999999999999.0, 999999999999.5, 1e12,
+        2.0**53, 1e16, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+        -1.0, 1.0, 0.1, 1 / 3, 123456789012.0, -0.00012345678901234,
+    )
+
+    @pytest.mark.parametrize("value", EDGES)
+    def test_edge_cases(self, value):
+        floats = {}
+        assert report_module._float_text(value, floats) == _general_float_text(value)
+        assert floats[value] == _general_float_text(value)
+
+    @settings(max_examples=2000)
+    @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
+    def test_matches_general_path(self, value):
+        assert report_module._float_text(value, {}) == _general_float_text(value)
+
+    @settings(max_examples=2000)
+    @given(st.integers(0, 2**64 - 1))
+    def test_matches_general_path_on_bit_patterns(self, bits):
+        # every exponent, subnormals included, with equal weight
+        (value,) = struct.unpack("<d", struct.pack("<Q", bits))
+        assume(math.isfinite(value))
+        assert report_module._float_text(value, {}) == _general_float_text(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, value):
+        floats = {}
+        with pytest.raises(ValueError) as exc:
+            report_module._float_text(value, floats)
+        assert str(exc.value) == f"reports cannot carry non-finite numbers, got {value!r}"
+        assert not floats
 
 
 class TestMatchesReference:
