@@ -18,14 +18,15 @@ The argument systems live in :mod:`epsident.catalog`; this module evaluates
 them on concrete data and owns the adjustment over one explicit binary
 covariate.
 
-Each dataset fact is computed once: the compatibility violations of an
-(exp, obs) pair and each target's tight bounds sit in small bounded caches
-keyed by the (frozen, hashable) records and the tolerance in force, so the
-bounds, the scans and the minimal radius of one dataset share them.  A
-refusal is never cached: :class:`Incompatible` is raised on every call from
-the cached violations, and a missing atom or zero denominator is raised
-afresh.  :func:`~epsident.distributions.check_compatibility`, the public
-diagnostic, stays uncached.
+Each dataset fact is computed once.  :func:`_facts` is one bounded memo
+of the last few datasets, keyed by the (frozen, hashable) records and the
+tolerance in force; each holds a dict that this module and the engine fill
+under distinct keys: the compatibility violations, each target's tight
+bounds, the quantity ranges and the eps-free scans.  A build that raises
+stores nothing, so a refusal is raised on every call: :class:`Incompatible`
+from the stored violations, a missing atom or zero denominator afresh.
+:func:`~epsident.distributions.check_compatibility`, the public diagnostic,
+stays uncached.
 """
 
 from __future__ import annotations
@@ -101,16 +102,14 @@ class EvaluatedArgument:
     value: float
 
 
-# Each cache holds a few datasets' worth of entries, like the engine's scan
-# caches: one dataset's bounds, scans and minimal radius reuse them.
-_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _violations(exp, obs, tol: float) -> tuple:
-    """The compatibility violations of one dataset; ``tol``, the tolerance in
-    force, is part of the key because the check reads it."""
-    return tuple(check_compatibility(exp, obs).violations)
+@lru_cache(maxsize=32)
+def _facts(exp, obs, assumptions, tol: float) -> dict:
+    """The eps-free facts of one dataset under one tolerance: a dict its
+    readers fill on demand under distinct keys (``"violations"``,
+    ``("bounds", q)``, ``"ranges"``, ``("scan", q)``, ``"effects"``).  A
+    build that raises stores nothing.  A sweep over radii reuses the last
+    few datasets, so nothing older is kept."""
+    return {}
 
 
 def refuse_incompatible(
@@ -122,7 +121,10 @@ def refuse_incompatible(
     refusal on every call."""
     if exp is None or obs is None:
         return
-    violations = _violations(exp, obs, get_tolerance())
+    facts = _facts(exp, obs, None, get_tolerance())
+    violations = facts.get("violations")
+    if violations is None:
+        violations = facts["violations"] = tuple(check_compatibility(exp, obs).violations)
     if violations:
         raise Incompatible(violations)
 
@@ -164,7 +166,8 @@ def bound_arguments(
     Raw means pre-clamp: ratio arguments may fall outside [0,1] on noisy
     inputs, which is exactly what reports should surface.
     """
-    target, args, atoms = _target_arguments(quantity)
+    target = catalog.target(quantity)
+    args, atoms = _TARGET_ARGUMENTS[quantity]
     values = require_atoms(exp, obs, atoms, f"{quantity} bounds")
     den = target.denominator
     target.require_denominator(values.get(den))
@@ -177,17 +180,19 @@ def bound_arguments(
     return out
 
 
-@lru_cache(maxsize=len(catalog.TARGETS))
-def _target_arguments(quantity: str):
-    """A target, its bound arguments, and the atoms they read, in order."""
-    target = catalog.target(quantity)
+def _arguments(target: catalog.Target):
+    """A target's bound arguments, and the atoms they read, in order."""
     args = target.lower + target.upper
     atoms: list[str] = []
     for arg in args:
         atoms.extend(arg.expr.atoms())
         if arg.denominator is not None:
             atoms.append(arg.denominator)
-    return target, args, tuple(dict.fromkeys(atoms))
+    return args, tuple(dict.fromkeys(atoms))
+
+
+#: target name -> its bound arguments and the atoms they read
+_TARGET_ARGUMENTS = {name: _arguments(t) for name, t in catalog.TARGETS.items()}
 
 
 def tight_interval(evaluated: list[EvaluatedArgument]) -> Interval:
@@ -208,16 +213,13 @@ def target_bounds(
 
     The bounds are computed once per dataset and tolerance; refusals are
     raised on every call, never cached."""
-    return _target_bounds(quantity, exp, obs, get_tolerance())
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _target_bounds(quantity: str, exp, obs, tol: float) -> Interval:
-    """The tight bounds of one target on one dataset; ``tol`` is the
-    tolerance in force."""
-    evaluated = bound_arguments(quantity, exp, obs)
-    refuse_incompatible(exp, obs)
-    return tight_interval(evaluated)
+    facts = _facts(exp, obs, None, get_tolerance())
+    interval = facts.get(("bounds", quantity))
+    if interval is None:
+        evaluated = bound_arguments(quantity, exp, obs)
+        refuse_incompatible(exp, obs)
+        interval = facts[("bounds", quantity)] = tight_interval(evaluated)
+    return interval
 
 
 def pns_bounds(exp: ExperimentalDistribution, obs: ObservationalDistribution) -> Interval:

@@ -305,9 +305,9 @@ def _epsident_text(report: dict, args) -> list[str]:
                          f"  [{cond['center']}; {cond['premise']}]{mark}")
     effects = report.get("effects", {"results": {}, "skipped": {}})
     for variant, entry in effects["results"].items():
-        lines.append(_ident_text(bounds_mod.EFFECT_LABELS[variant], entry, args.eps))
+        lines.append(_ident_text(engine_mod.QUANTITY_DISPLAY[variant], entry, args.eps))
     for variant, missing in effects["skipped"].items():
-        lines.append(f"{bounds_mod.EFFECT_LABELS[variant]}: not evaluated (missing {', '.join(missing)})")
+        lines.append(f"{engine_mod.QUANTITY_DISPLAY[variant]}: not evaluated (missing {', '.join(missing)})")
     return lines
 
 

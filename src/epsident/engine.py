@@ -12,20 +12,20 @@ quantity carrying no information at all, or whose center is not exactly
 computable, are reported as not evaluated rather than silently dropped.
 
 Only the threshold depends on eps.  A scan is therefore split in two: a
-profile, built once per target, dataset and tolerance, holds the ranges, the
-refusals, each evaluated entry's premise value and center, and the
-not-evaluated records; its ``at(eps)`` compares the premise values with the
-firing limit of ``2*eps*den`` and builds the report, whose tightest entry is
-the first that fires.  Profiles and ranges sit in small bounded caches keyed
-by the (frozen, hashable) records and the tolerance, so a sweep over radii
-pays for one scan; a refusal is raised, never cached.
+profile, built once per target, dataset and tolerance, holds each evaluated
+entry's premise value and center and the not-evaluated records; its
+``at(eps)`` compares the premise values with the firing limit of
+``2*eps*den`` and builds the report, whose tightest entry is the first that
+fires.  The effect scan is split the same way: each variant's checked cell
+value, marginal bound and labels are computed once.  Profiles, effect scans
+and ranges are stored in the dataset's memo, :func:`epsident.bounds._facts`,
+so a sweep over radii pays for one scan; a build that raises stores
+nothing, so a refusal is raised on every call.
 Which entries a dataset evaluates, and the records of those it cannot,
 depend only on its pattern of informative and exact quantities: a plan per
 target and pattern holds them, so each profile only does its arithmetic.
 The plan also holds the records' JSON, built once as a read-only
 :class:`~epsident.report.Fragment` that every report of the pattern shares.
-The effect scan is split the same way: each variant's checked cell value,
-marginal bound and labels are computed once per dataset and tolerance.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import catalog
-from .bounds import effect_bounds, refuse_incompatible, target_bounds
+from .bounds import _facts, effect_bounds, refuse_incompatible, target_bounds
 from .config import get_tolerance
 from .distributions import (
     EFFECTS,
@@ -162,8 +162,8 @@ class QuantityRanges:
         """What the dataset says of each quantity, in :data:`QUANTITIES` order:
         whether it is informative and whether it is exact.  This alone decides
         which catalog entries the data evaluate.  It is read once, under the
-        tolerance in force then; :func:`_ranges` keys its cache by tolerance,
-        so every target's profile of one dataset shares it."""
+        tolerance in force then; the ranges are stored in their dataset's
+        memo, keyed by tolerance, so every target's profile shares it."""
         return tuple((self.informative(name), self.exact(name) is not None) for name in QUANTITIES)
 
     def upper_value(self, terms) -> float:
@@ -238,18 +238,6 @@ def _fragment(skipped) -> Fragment:
     return Fragment(map(NotEvaluated.to_json_dict, skipped))
 
 
-# Each cache holds a few datasets' worth of entries: a sweep over radii
-# reuses the last few, so nothing older is worth keeping.
-_SCAN_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=_SCAN_CACHE_SIZE)
-def _ranges(exp, obs, assumptions, tol: float) -> QuantityRanges:
-    """The :class:`QuantityRanges` of one dataset; ``tol``, the tolerance in
-    force, is part of the key because the ranges read it."""
-    return QuantityRanges(exp, obs, assumptions)
-
-
 class _Profile:
     """The eps-free part of one catalog scan: each evaluated entry's premise
     value and center, and every not-evaluated record with its JSON."""
@@ -319,12 +307,13 @@ def _plan(quantity: str, pattern: tuple[tuple[bool, bool], ...]):
     return tuple(evaluate), tuple(skipped), _fragment(skipped)
 
 
-@lru_cache(maxsize=_SCAN_CACHE_SIZE)
-def _profile(quantity: str, exp, obs, assumptions, tol: float) -> _Profile:
+def _profile(quantity: str, exp, obs, assumptions, facts: dict) -> _Profile:
     """Build the eps-free scan of one target on one dataset, making the
-    denominator and compatibility refusals; ``tol`` is the tolerance in force."""
+    denominator and compatibility refusals; ``facts`` is the dataset's memo."""
     target = catalog.target(quantity)
-    ranges = _ranges(exp, obs, assumptions, tol)
+    ranges = facts.get("ranges")
+    if ranges is None:
+        ranges = facts["ranges"] = QuantityRanges(exp, obs, assumptions)
 
     denominator = target.denominator
     den_value = None if denominator is None else ranges.exact(denominator)
@@ -355,7 +344,11 @@ def eps_identify(
     """
     catalog.target(quantity)
     check_eps(eps)
-    return _profile(quantity, exp, obs, assumptions, get_tolerance()).at(eps)
+    facts = _facts(exp, obs, assumptions, get_tolerance())
+    profile = facts.get(("scan", quantity))
+    if profile is None:
+        profile = facts[("scan", quantity)] = _profile(quantity, exp, obs, assumptions, facts)
+    return profile.at(eps)
 
 
 def eps_identify_pns(
@@ -439,12 +432,13 @@ class EffectScan:
     skipped: dict[str, tuple[str, ...]]
 
 
-@lru_cache(maxsize=_SCAN_CACHE_SIZE)
-def _effect_profile(obs, assumptions, tol: float) -> tuple[tuple, tuple]:
+def _effect_profile(obs, assumptions, facts: dict) -> tuple[tuple, tuple]:
     """The eps-free part of an effect scan of one dataset: a checked row per
     variant the data support, and each other variant with its missing
-    quantities; ``tol`` is the tolerance in force."""
-    ranges = _ranges(None, obs, assumptions, tol)
+    quantities; ``facts`` is the dataset's memo."""
+    ranges = facts.get("ranges")
+    if ranges is None:
+        ranges = facts["ranges"] = QuantityRanges(None, obs, assumptions)
     rows, skipped = [], []
     for variant, effect in EFFECTS.items():
         cell, marginal = effect.cell, effect.opposite_marginal
@@ -477,7 +471,11 @@ def eps_identify_effects(
     same data under the same tolerance.
     """
     check_eps(eps)
-    rows, skipped = _effect_profile(obs, assumptions, get_tolerance())
+    facts = _facts(None, obs, assumptions, get_tolerance())
+    profile = facts.get("effects")
+    if profile is None:
+        profile = facts["effects"] = _effect_profile(obs, assumptions, facts)
+    rows, skipped = profile
     return EffectScan({row[0]: _effect_at(row, eps) for row in rows}, dict(skipped))
 
 

@@ -28,7 +28,7 @@ from epsident import (
     pns_bounds,
     sample_joint,
 )
-from epsident import catalog, engine
+from epsident import bounds, catalog, engine
 from epsident.bounds import refuse_incompatible
 from epsident.cli import EPS_SWEEP
 from epsident.config import get_tolerance, set_tolerance
@@ -632,15 +632,47 @@ class TestEpsFreeProfile:
         fresh = _reference_effects(0.1, obs, Assumptions(p_xp_max=-0.0))
         assert repr(first) == repr(again) == repr(fresh)
 
-    def test_one_effect_profile_serves_every_radius(self):
-        # the effect scan checks and labels each variant once per dataset,
-        # and hands each call a skipped dict of its own
+    def test_one_effect_profile_serves_every_radius(self, monkeypatch):
+        # the effect scan ranges, checks and labels each variant once per
+        # dataset, and hands each call a skipped dict of its own
         obs, assumptions = ObservationalDistribution(p_xy=0.52), Assumptions(p_xp_max=0.04)
+        expected = [_reference_effects(eps, obs, assumptions) for eps in EPS_SWEEP]
+        built = []
+        monkeypatch.setattr(engine, "QuantityRanges",
+                            lambda *a: built.append(a) or QuantityRanges(*a))
         scans = [eps_identify_effects(eps, obs, assumptions) for eps in EPS_SWEEP]
-        assert scans == [_reference_effects(eps, obs, assumptions) for eps in EPS_SWEEP]
-        assert engine._effect_profile.cache_info().misses == 1
+        assert scans == expected
+        assert built == [(None, obs, assumptions)]
         scans[0].skipped.clear()
         assert eps_identify_effects(EPS_SWEEP[0], obs, assumptions).skipped == scans[1].skipped != {}
+
+    def test_memo_stays_bounded_and_correct_past_its_size(self):
+        # each dataset fills two memo entries, its scans' and its effects';
+        # twice the memo's size of datasets pass through, and the first one,
+        # evicted long since, gets its first answers again
+        size = bounds._facts.cache_parameters()["maxsize"]
+
+        def answers(scenario):
+            exp, obs = scenario.experimental, scenario.observational
+            return (
+                _outcome(pns_bounds, exp, obs),
+                _outcome(eps_identify, "pn", exp, obs, 0.1),
+                _outcome(eps_identify_effects, 0.1, obs),
+            )
+
+        scenarios = [sample_joint(seed) for seed in range(2 * size + 1)]
+        first = [answers(s) for s in scenarios]
+        for got, s in zip(first, scenarios):
+            exp, obs = s.experimental, s.observational
+            assert got[1:] == (
+                _outcome(_reference_scan, "pn", exp, obs, 0.1),
+                _outcome(_reference_effects, 0.1, obs),
+            )
+        assert bounds._facts.cache_info().currsize <= size
+        misses = bounds._facts.cache_info().misses
+        assert answers(scenarios[0]) == first[0]
+        assert bounds._facts.cache_info().misses == misses + 2
+        assert bounds._facts.cache_info().currsize <= size
 
     def test_writing_into_returned_not_evaluated_changes_no_later_report(self, running_exp):
         # every report of one target and data pattern shares one read-only

@@ -191,7 +191,6 @@ def _grid_points(rows, rhs, steps=20, slack=0.05):
     return q[feasible]
 
 
-@pytest.mark.slow
 def test_grid_cross_check(running_exp, running_obs):
     from epsident.oracle import _OBJECTIVES, _ROWS
 
